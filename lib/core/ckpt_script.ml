@@ -21,63 +21,67 @@ let c_of_last = function
   | No_msg -> 0
   | Last_ord { ord = Partial c; _ } | Last_ord { ord = Full (c, _); _ } -> c
 
-let partial_ckpt grid j c = [ Bcast (Partial c, Grid.members_above grid j) ]
+(* [above] = [Grid.members_above grid j], shared by a script's broadcasts
+   (scripts live long; a copy per checkpoint cost group-size words each). *)
+let partial_ckpt above c = [ Bcast (Partial c, above) ]
 
-let full_ckpt grid j c l =
+let full_ckpt grid above c l =
   let num_groups = Grid.n_groups grid in
   let rec go g acc =
     if g > num_groups then List.rev acc
     else
       go (g + 1)
-        (Bcast (Full (c, g), Grid.members_above grid j)
-        :: Bcast (Full (c, g), Grid.members grid g)
-        :: acc)
+        (Bcast (Full (c, g), above) :: Bcast (Full (c, g), Grid.members grid g) :: acc)
   in
   go l []
 
-let work_script grid j from_sub =
+let work_from grid ~gj ~above from_sub =
   let last_sub = Grid.n_subchunks grid in
-  let gj = Grid.group_of grid j in
   let rec go c acc =
     if c > last_sub then List.concat (List.rev acc)
     else
       let lo, hi = Grid.subchunk_range grid c in
       let units = if hi > lo then [ Do_units (lo, hi) ] else [] in
       let ckpts =
-        partial_ckpt grid j c
-        @ if Grid.is_chunk_end grid c then full_ckpt grid j c (gj + 1) else []
+        partial_ckpt above c
+        @ if Grid.is_chunk_end grid c then full_ckpt grid above c (gj + 1) else []
       in
       go (c + 1) ((units @ ckpts) :: acc)
   in
   go from_sub []
 
+let work_script grid j from_sub =
+  work_from grid ~gj:(Grid.group_of grid j) ~above:(Grid.members_above grid j)
+    from_sub
+
 let takeover_script grid j last =
   let gj = Grid.group_of grid j in
+  let above = Grid.members_above grid j in
   match last with
   | No_msg ->
       (* An empty "(0)" partial checkpoint keeps the invariant that the first
          takeover action is an own-group broadcast (Protocol B's fictitious
          round-0 message makes this case unreachable there, but Protocol A
          reaches it when a process saw no message at all). *)
-      partial_ckpt grid j 0 @ work_script grid j 1
+      partial_ckpt above 0 @ work_from grid ~gj ~above 1
   | Last_ord { ord = Partial c; _ } ->
-      partial_ckpt grid j c
-      @ (if c > 0 && c mod Grid.group_size grid = 0 then full_ckpt grid j c (gj + 1)
+      partial_ckpt above c
+      @ (if c > 0 && c mod Grid.group_size grid = 0 then full_ckpt grid above c (gj + 1)
          else [])
-      @ work_script grid j (c + 1)
+      @ work_from grid ~gj ~above (c + 1)
   | Last_ord { ord = Full (c, g); src } ->
       let prologue =
         if Grid.group_of grid src <> gj then
           (* the sender was informing my whole group (g = g_j): spread the
              news in my remainder, then continue the full checkpoint with
              the next group *)
-          partial_ckpt grid j c @ full_ckpt grid j c (g + 1)
+          partial_ckpt above c @ full_ckpt grid above c (g + 1)
         else
           (* the sender was echoing to our group that group g was informed:
              re-echo, then continue from group g+1 *)
-          Bcast (Full (c, g), Grid.members_above grid j) :: full_ckpt grid j c (g + 1)
+          Bcast (Full (c, g), above) :: full_ckpt grid above c (g + 1)
       in
-      prologue @ work_script grid j (c + 1)
+      prologue @ work_from grid ~gj ~above (c + 1)
 
 let knows_all_done grid j last =
   let last_sub = Grid.n_subchunks grid in

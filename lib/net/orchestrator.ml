@@ -341,28 +341,6 @@ let run cfg =
         Some boxes
     | _ -> None
   in
-  let apply_delivery_filter decision sends =
-    match decision with
-    | Fault.All -> (sends, [])
-    | Fault.Prefix k ->
-        let rec split i acc = function
-          | [] -> (List.rev acc, [])
-          | rest when i = k -> (List.rev acc, rest)
-          | s :: rest -> split (i + 1) (s :: acc) rest
-        in
-        split 0 [] sends
-    | Fault.Indices idx ->
-        let keep = List.sort_uniq compare idx in
-        let kept, dropped =
-          List.fold_left
-            (fun (i, (k, d)) s ->
-              if List.mem i keep then (i + 1, (s :: k, d)) else (i + 1, (k, s :: d)))
-            (0, ([], []))
-            sends
-          |> snd
-        in
-        (List.rev kept, List.rev dropped)
-  in
   let apply_restarts r =
     let rec go () =
       match !restart_queue with
@@ -393,7 +371,6 @@ let run cfg =
     end;
     statuses.(pid) <- Crashed r;
     wakeups.(pid) <- None;
-    Fault.note_crash cfg.fault pid r;
     Metrics.record_crash metrics pid r;
     Trace.record trace (Trace.Crashed_ev { pid; round = r })
   in
@@ -511,7 +488,7 @@ let run cfg =
                       wakeups.(pid) <- wakeup
                     end
                 | Fault.Crash { keep_work; delivery } ->
-                    let delivered, dropped = apply_delivery_filter delivery sends in
+                    let delivered, dropped = Fault.apply_delivery delivery sends in
                     let keep_work = keep_work || delivered <> [] in
                     if keep_work then commit_work ();
                     commit_sends delivered;

@@ -41,9 +41,7 @@ type t = {
   plan_byzantine_from : pid -> round option;
   plan_trivial : bool;
       (* statically known to never crash/corrupt/subvert/restart anything;
-         lets the kernel skip the per-round fault sweep entirely *)
-  committed : (pid, round) Hashtbl.t;
-      (* crashes the kernel actually committed; authoritative for all plans *)
+         lets the kernel skip consulting the plan on every step *)
 }
 
 let make ?(trivial = false) ?(restarts = []) ?(on_restart = fun _ _ -> ())
@@ -57,28 +55,50 @@ let make ?(trivial = false) ?(restarts = []) ?(on_restart = fun _ _ -> ())
     plan_corrupts = corrupts;
     plan_byzantine_from = byzantine_from;
     plan_trivial = trivial && restarts = [];
-    committed = Hashtbl.create 16;
   }
 
 let custom ?restarts ?on_restart ?corrupts ?byzantine_from ~crashed_by ~on_step
     () =
   make ?restarts ?on_restart ?corrupts ?byzantine_from ~crashed_by ~on_step ()
 
-let crashed_by t pid round =
-  (match Hashtbl.find_opt t.committed pid with
-  | Some r -> round > r
-  | None -> false)
-  || t.plan_crashed_by pid round
+let crashed_by t pid round = t.plan_crashed_by pid round
 
-let on_step t view =
-  if crashed_by t view.sv_pid view.sv_round then
-    Crash { keep_work = false; delivery = Prefix 0 }
-  else t.plan_on_step view
+let first_crash t pid ~from ~upto =
+  (* exact because [crashed_by] is monotone in the round: gallop up from
+     [from] in doubling steps (every round below [lo] is alive), then
+     bisect the last step; a death at d costs O(log (d - from)) queries *)
+  let dead r = t.plan_crashed_by pid r in
+  if from > upto || not (dead upto) then None
+  else begin
+    let lo = ref from and step = ref 1 in
+    while !step > 0 && !step <= upto - !lo && not (dead (!lo + !step - 1)) do
+      lo := !lo + !step;
+      step := 2 * !step
+    done;
+    let hi = ref (if !step > 0 && !step <= upto - !lo then !lo + !step - 1 else upto) in
+    while !lo < !hi do
+      let mid = !lo + ((!hi - !lo) / 2) in
+      if dead mid then hi := mid else lo := mid + 1
+    done;
+    Some !lo
+  end
 
-let note_crash t pid round =
-  match Hashtbl.find_opt t.committed pid with
-  | Some r when r <= round -> ()
-  | _ -> Hashtbl.replace t.committed pid round
+let on_step t view = t.plan_on_step view
+
+let apply_delivery delivery sends =
+  match delivery with
+  | All -> (sends, [])
+  | Prefix k ->
+      let rec split i acc = function
+        | [] -> (List.rev acc, [])
+        | rest when i = k -> (List.rev acc, rest)
+        | s :: rest -> split (i + 1) (s :: acc) rest
+      in
+      split 0 [] sends
+  | Indices idx ->
+      let tagged = List.mapi (fun i s -> (List.mem i idx, s)) sends in
+      let kept, dropped = List.partition fst tagged in
+      (List.map snd kept, List.map snd dropped)
 
 let restarts t = t.plan_restarts
 
@@ -86,12 +106,7 @@ let corrupts t pid round = t.plan_corrupts pid round
 
 let byzantine_from t pid = t.plan_byzantine_from pid
 
-let note_restart t pid round =
-  (* Forget the committed crash so a later crash of the same pid re-records;
-     then let the plan mask itself (a static plan would otherwise keep
-     answering [crashed_by] = true for the revived incarnation). *)
-  Hashtbl.remove t.committed pid;
-  t.plan_on_restart pid round
+let note_restart t pid round = t.plan_on_restart pid round
 
 let none = make ~trivial:true ~crashed_by:(fun _ _ -> false) ~on_step:(fun _ -> Survive) ()
 
@@ -115,29 +130,14 @@ let crash_silently_at entries =
   in
   make ~trivial:(entries = []) ~crashed_by ~on_step:(fun _ -> Survive) ()
 
+let dynamic f = make ~crashed_by:(fun _ _ -> false) ~on_step:f ()
+
 let crash_acting_at entries =
   let tbl = earliest_per_pid entries (fun (p, r, _) -> (p, r)) in
-  let crashed_by _ _ = false in
-  let on_step view =
-    match Hashtbl.find_opt tbl view.sv_pid with
-    | Some (r, (_, _, decision)) when view.sv_round >= r -> decision
-    | _ -> Survive
-  in
-  make ~crashed_by ~on_step ()
-
-let dynamic f =
-  let dead = Hashtbl.create 16 in
-  let crashed_by pid round =
-    match Hashtbl.find_opt dead pid with Some r -> round > r | None -> false
-  in
-  let on_step view =
-    match f view with
-    | Survive -> Survive
-    | Crash _ as c ->
-        Hashtbl.replace dead view.sv_pid view.sv_round;
-        c
-  in
-  make ~crashed_by ~on_step ()
+  dynamic (fun view ->
+      match Hashtbl.find_opt tbl view.sv_pid with
+      | Some (r, (_, _, decision)) when view.sv_round >= r -> decision
+      | _ -> Survive)
 
 let random ~seed ~t ~victims ~window =
   if victims >= t then invalid_arg "Fault.random: victims must be < t";
@@ -171,10 +171,6 @@ let crash_active_after_random_work ~seed ~min_units ~max_units ~max_crashes =
   let crashes = ref 0 in
   let units_since_last = ref 0 in
   let next_gap = ref (Prng.int_in g min_units max_units) in
-  let dead = Hashtbl.create 16 in
-  let crashed_by pid round =
-    match Hashtbl.find_opt dead pid with Some r -> round > r | None -> false
-  in
   let on_step view =
     if view.sv_works = 0 || !crashes >= max_crashes then Survive
     else begin
@@ -183,13 +179,12 @@ let crash_active_after_random_work ~seed ~min_units ~max_units ~max_crashes =
         units_since_last := 0;
         next_gap := Prng.int_in g min_units max_units;
         incr crashes;
-        Hashtbl.replace dead view.sv_pid view.sv_round;
         Crash { keep_work = true; delivery = Prefix 0 }
       end
       else Survive
     end
   in
-  make ~crashed_by ~on_step ()
+  dynamic on_step
 
 let with_restarts restarts base =
   (* From a pid's first revival on, the base plan's answers for that pid are
@@ -219,10 +214,6 @@ let with_restarts restarts base =
 let crash_active_after_work ~units_between_crashes ~max_crashes =
   let crashes = ref 0 in
   let units_since_last = ref 0 in
-  let dead = Hashtbl.create 16 in
-  let crashed_by pid round =
-    match Hashtbl.find_opt dead pid with Some r -> round > r | None -> false
-  in
   let on_step view =
     if view.sv_works = 0 || !crashes >= max_crashes then Survive
     else begin
@@ -230,10 +221,9 @@ let crash_active_after_work ~units_between_crashes ~max_crashes =
       if !units_since_last >= units_between_crashes then begin
         units_since_last := 0;
         incr crashes;
-        Hashtbl.replace dead view.sv_pid view.sv_round;
         Crash { keep_work = true; delivery = Prefix 0 }
       end
       else Survive
     end
   in
-  make ~crashed_by ~on_step ()
+  dynamic on_step

@@ -61,10 +61,8 @@ val is_trivial : t -> bool
 (** True only for plans that are statically known to never do anything:
     no crashes, no restarts, no corruption, no Byzantine subversion
     ({!none}, or degenerate constructions such as {!crash_silently_at}[ []]).
-    The kernel uses this to skip the per-round fault sweep over all [t]
-    processes and schedule only the processes that are actually due — the
-    difference between O(rounds·t) and O(activity) on failure-free runs at
-    n=10^6+. A [false] answer is always safe (it merely keeps the sweep). *)
+    The kernel only uses it to skip asking {!on_step} (and building a
+    {!step_view}) on every step. A [false] answer is always safe. *)
 
 val crash_silently_at : (pid * round) list -> t
 (** Each listed process is dead from the start of the given round: it takes
@@ -73,12 +71,15 @@ val crash_silently_at : (pid * round) list -> t
 
 val crash_acting_at : (pid * round * decision) list -> t
 (** Each listed process survives strictly below its round, then the given
-    decision applies at the first round [>= r] in which it acts. If it never
-    acts at or after [r] it is treated as silently crashed from [r]. *)
+    decision applies at the first round [>= r] in which it acts. A listed
+    process that never acts at or after [r] is never crashed: it stays
+    [Running] (and, if it is the last live process, the run stalls). *)
 
 val dynamic : (step_view -> decision) -> t
 (** Fully online adversary: consulted every time any process acts; once it
-    returns [Crash _] for a pid, that pid is dead forever. *)
+    returns [Crash _] for a pid, the kernel commits the crash and never asks
+    about that pid again (unless a restart revives it). Its silent-death
+    predicate is constantly false. *)
 
 val random :
   seed:int64 -> t:int -> victims:int -> window:round -> t
@@ -111,17 +112,21 @@ val custom :
   t
 (** General constructor combining a silent-death predicate with an online
     acting-crash rule — the building block for plans (such as
-    {!Campaign.Schedule.to_fault}) that mix both kinds of entry. The kernel
-    keeps the two consistent through {!note_crash}.
+    {!Campaign.Schedule.to_fault}) that mix both kinds of entry.
+
+    [crashed_by] must honour the {!crashed_by} contract; the kernel reads
+    it once per incarnation, not per round. [on_step] needs no memory of
+    its own [Crash] answers: the kernel never asks about a crashed pid.
 
     [restarts] is the crash–recovery extension: a static schedule of
     [(pid, round)] revivals the kernel applies to pids that are down at the
     scheduled round (entries for up or terminated pids are dropped — the
     adversary cannot restart what is not crashed). [on_restart] is invoked
     when the kernel commits a revival, so stateful plans can advance to
-    their next crash cycle. A plan whose [crashed_by]/[on_step] ignore
-    revivals would re-kill the new incarnation instantly; use
-    {!with_restarts} to mask a static plan, or handle [on_restart].
+    their next crash cycle; the kernel then re-reads [crashed_by] for the
+    new incarnation. A plan whose [crashed_by]/[on_step] ignore revivals
+    would re-kill the new incarnation instantly; use {!with_restarts} to
+    mask a static plan, or handle [on_restart].
 
     [corrupts] is the message-tampering extension: consulted by the kernel
     when a surviving process is about to emit messages (only when the run
@@ -140,16 +145,22 @@ val with_restarts : (pid * round) list -> t -> t
 (** {1 Kernel interface} — used by {!Kernel}, not by protocol code. *)
 
 val crashed_by : t -> pid -> round -> bool
-(** Is [pid] (silently) dead at round [r]? Consulted before stepping. *)
+(** Is [pid] (silently) dead at round [r]? Contract: within one incarnation
+    (from the start or a committed revival to the next revival) the answer
+    is monotone in [r] and does not depend on {!on_step}'s answers. *)
+
+val first_crash : t -> pid -> from:round -> upto:round -> round option
+(** The first round in [\[from, upto\]] at which {!crashed_by} holds,
+    found under its contract by a doubling search from [from] and then
+    bisection: O(log (d - from)) queries for a death at round [d], one if
+    the pid never dies. *)
 
 val on_step : t -> step_view -> decision
-(** Consulted when a live process is about to commit a round's outcome.
-    The plan must remember its own [Crash] answers: after crashing a pid it
-    must answer [crashed_by] = true for later rounds. *)
+(** Consulted when a live process is about to commit a round's outcome
+    (never for a crashed pid). *)
 
-val note_crash : t -> pid -> round -> unit
-(** Kernel informs the plan that it committed the crash (so that
-    [crashed_by] stays consistent for all plan kinds). *)
+val apply_delivery : delivery -> 'a list -> 'a list * 'a list
+(** Splits a crashing process's sends into (leaving, lost), in order. *)
 
 val restarts : t -> (pid * round) list
 (** The plan's static restart schedule, in no particular order; the kernel
@@ -166,5 +177,5 @@ val byzantine_from : t -> pid -> round option
 
 val note_restart : t -> pid -> round -> unit
 (** Kernel informs the plan that it committed a revival at [round]: the
-    committed-crash record for the pid is forgotten (a later crash of the
-    same pid re-records) and the plan's [on_restart] hook runs. *)
+    plan's [on_restart] hook runs, before the kernel reads the new
+    incarnation's {!crashed_by}. *)

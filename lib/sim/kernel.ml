@@ -35,10 +35,12 @@ let config ?(fault = Fault.none) ?(max_rounds = max_int / 2) ?trace ?obs
    wakeups live in an int array (-1 = none) shadowed by a lazy binary
    min-heap so the next active round is found in O(log t) instead of an O(t)
    scan, and every trace/obs event is constructed only when a sink is
-   actually attached. When the fault plan is statically trivial
-   ({!Fault.is_trivial}) and no tamper model is armed, the per-round sweep
-   over all t processes collapses to just the processes that are due — the
-   protocol's own activity is then the only per-round cost. *)
+   actually attached. Each visited round touches only the pids that have
+   something to do: a due wakeup, mail, or a fault deadline. The deadlines —
+   the round a pid silently dies and the round it turns Byzantine — are read
+   from the fault plan once per incarnation and share the wakeup heap, but
+   never make a round visited: like the adversary's silent crash, they take
+   effect at the next round the kernel processes anyway. *)
 
 let run ?recover ?metrics cfg proc =
   let t = cfg.n_processes in
@@ -54,15 +56,21 @@ let run ?recover ?metrics cfg proc =
   let recover =
     match recover with Some f -> f | None -> fun pid _r -> proc.init pid
   in
-  let fast = Fault.is_trivial cfg.fault && Option.is_none cfg.tamper in
+  let trivial = Fault.is_trivial cfg.fault in
   let observing = Option.is_some cfg.trace || Option.is_some cfg.obs in
   let has_obs = Option.is_some cfg.obs in
   let statuses = Array.make t Running in
   let wakeups = Array.make t (-1) in
+  (* Fault deadlines of the current incarnation; max_int = never. [death]
+     includes a Byzantine activation degraded to a silent crash (no tamper
+     model); [subverted_at] is the activation round when a model is armed. *)
+  let death = Array.make t max_int in
+  let subverted_at = Array.make t max_int in
 
-  (* Lazy min-heap over (wakeup round, pid), lexicographic. Entries are
-     pushed on every wakeup change and validated against [wakeups]/[statuses]
-     when they surface, so stale entries cost one pop each, ever. *)
+  (* Lazy min-heap over (round, key), lexicographic. Key p < t is pid p's
+     wakeup, key t + p its fault deadline. Entries are pushed on every
+     change and validated when they surface, so stale entries cost one pop
+     each, ever. *)
   let heap_w = ref (Array.make (max 8 (2 * t)) 0) in
   let heap_p = ref (Array.make (max 8 (2 * t)) 0) in
   let heap_n = ref 0 in
@@ -116,22 +124,75 @@ let run ?recover ?metrics cfg proc =
       done
     end
   in
-  let entry_valid w p = statuses.(p) = Running && wakeups.(p) = w in
-  (* Smallest valid wakeup, discarding stale entries; max_int when none. *)
-  let rec heap_peek () =
-    if !heap_n = 0 then max_int
+  let entry_valid w k =
+    if k < t then statuses.(k) = Running && wakeups.(k) = w
     else
-      let w = !heap_w.(0) and p = !heap_p.(0) in
-      if entry_valid w p then w
+      let p = k - t in
+      statuses.(p) = Running && (death.(p) = w || subverted_at.(p) = w)
+  in
+  (* The pids to visit in the coming round. They arrive in pid order unless
+     a deadline is queued behind a larger pid (wakeup keys pop before
+     deadline keys, and [heap_peek] queues deadlines of earlier rounds);
+     only then does the list need sorting. A pid may be listed more than
+     once (a wakeup and a deadline, or an entry pushed twice); sorting
+     makes the copies adjacent and the visit skips them. *)
+  let due = ref (Array.make (max 8 t) 0) in
+  let due_n = ref 0 in
+  let due_sorted = ref true in
+  let queue_due p =
+    let d = !due in
+    let n = !due_n in
+    if n = Array.length d then begin
+      let d' = Array.make (2 * n) 0 in
+      Array.blit d 0 d' 0 n;
+      due := d'
+    end;
+    if n > 0 && !due.(n - 1) > p then due_sorted := false;
+    !due.(n) <- p;
+    due_n := n + 1
+  in
+  (* Smallest valid wakeup below [bound], else [bound]. A valid deadline
+     that surfaces on top lies below [bound] and at or below every wakeup,
+     so whichever round is visited next is at or past it: it is queued for
+     that round rather than allowed to make one. *)
+  let rec heap_peek bound =
+    if !heap_n = 0 || !heap_w.(0) >= bound then bound
+    else
+      let w = !heap_w.(0) and k = !heap_p.(0) in
+      if k < t && entry_valid w k then w
       else begin
         heap_pop ();
-        heap_peek ()
+        if k >= t && entry_valid w k then queue_due (k - t);
+        heap_peek bound
       end
   in
   let set_wakeup p w =
     wakeups.(p) <- w;
     if w >= 0 then heap_push w p
   in
+  (* Read the incarnation's deadlines off the plan (at the start, and after
+     every committed revival at [from]). *)
+  let arm_deadlines pid ~from =
+    let b = Fault.byzantine_from cfg.fault pid in
+    let d =
+      Option.value ~default:max_int
+        (Fault.first_crash cfg.fault pid ~from ~upto:cfg.max_rounds)
+    in
+    (death.(pid) <-
+       match (cfg.tamper, b) with None, Some b0 -> min d b0 | _ -> d);
+    (subverted_at.(pid) <-
+       match (cfg.tamper, b) with Some _, Some b0 -> b0 | _ -> max_int);
+    if death.(pid) < max_int then heap_push death.(pid) (t + pid);
+    if subverted_at.(pid) < max_int then heap_push subverted_at.(pid) (t + pid)
+  in
+  (* A subverted pid never terminates; completion is the honest pids'
+     affair. Without a tamper model every pid is honest: Byzantine entries
+     degrade to crashes and every pid still retires. *)
+  let honest pid =
+    Option.is_none cfg.tamper || Option.is_none (Fault.byzantine_from cfg.fault pid)
+  in
+  let live_honest = ref 0 in
+  let retire pid = if honest pid then decr live_honest in
 
   let states =
     Array.init t (fun pid ->
@@ -143,6 +204,15 @@ let run ?recover ?metrics cfg proc =
         | None -> wakeups.(pid) <- -1);
         s)
   in
+  for pid = 0 to t - 1 do
+    if honest pid then incr live_honest;
+    arm_deadlines pid ~from:0;
+    (* A subverted pid must be scheduled at its activation round even if the
+       protocol put it to sleep beyond it. *)
+    let b0 = subverted_at.(pid) in
+    if b0 < max_int then
+      set_wakeup pid (match wakeups.(pid) with -1 -> b0 | w -> min w b0)
+  done;
 
   (* Messages in flight: sent during [pending_sent_at] into buffer
      [pending_idx], delivered at [pending_sent_at + 1]. At most one round's
@@ -184,33 +254,6 @@ let run ?recover ?metrics cfg proc =
              { name; pid; at = r; inc; ts_us = Dhw_util.Clock.now_us () });
         res
   in
-  let alive pid = statuses.(pid) = Running in
-  (* Byzantine pids only act out their subversion when the run carries a
-     tamper model (the model says what "arbitrary-but-typed lies" look like
-     for this protocol's message type). Without one, a Byzantine entry
-     degrades to a silent crash at its activation round. *)
-  let byz_active pid r =
-    match (cfg.tamper, Fault.byzantine_from cfg.fault pid) with
-    | Some _, Some b0 -> b0 <= r
-    | _ -> false
-  in
-  let byz_degraded_crash pid r =
-    match (cfg.tamper, Fault.byzantine_from cfg.fault pid) with
-    | None, Some b0 -> b0 <= r
-    | _ -> false
-  in
-  (* A subverted pid must be scheduled at its activation round even if the
-     protocol put it to sleep beyond it. *)
-  (match cfg.tamper with
-  | Some _ ->
-      for pid = 0 to t - 1 do
-        match Fault.byzantine_from cfg.fault pid with
-        | Some b0 ->
-            set_wakeup pid
-              (match wakeups.(pid) with -1 -> b0 | w -> min w b0)
-        | None -> ()
-      done
-  | None -> ());
   (* The adversary's restart schedule, sorted by (round, pid) so revivals in
      the same round happen in pid order — determinism. An entry is *applicable*
      while its pid is down from a round before the scheduled one; entries for
@@ -223,25 +266,25 @@ let run ?recover ?metrics cfg proc =
     && match statuses.(pid) with Crashed rc -> rr > rc | _ -> false
   in
   let pending_restart () = List.exists applicable !restart_queue in
-  let apply_restarts r =
-    let rec go () =
-      match !restart_queue with
-      | (rr, pid) :: rest when rr <= r ->
-          restart_queue := rest;
-          if applicable (rr, pid) then begin
-            statuses.(pid) <- Running;
-            incs.(pid) <- incs.(pid) + 1;
-            let s, w = recover pid r in
-            states.(pid) <- s;
-            (match w with Some w0 -> set_wakeup pid w0 | None -> wakeups.(pid) <- -1);
-            Fault.note_restart cfg.fault pid r;
-            Metrics.record_restart metrics pid r;
-            trace_ev (Trace.Restarted_ev { pid; round = r })
-          end;
-          go ()
-      | _ -> ()
-    in
-    go ()
+  let revive pid r =
+    statuses.(pid) <- Running;
+    if honest pid then incr live_honest;
+    incs.(pid) <- incs.(pid) + 1;
+    let s, w = recover pid r in
+    states.(pid) <- s;
+    (match w with Some w0 -> set_wakeup pid w0 | None -> wakeups.(pid) <- -1);
+    Fault.note_restart cfg.fault pid r;
+    arm_deadlines pid ~from:r;
+    Metrics.record_restart metrics pid r;
+    trace_ev (Trace.Restarted_ev { pid; round = r })
+  in
+  let rec apply_restarts r =
+    match !restart_queue with
+    | (rr, pid) :: rest when rr <= r ->
+        restart_queue := rest;
+        if applicable (rr, pid) then revive pid r;
+        apply_restarts r
+    | _ -> ()
   in
   let rec min_restart acc = function
     | [] -> acc
@@ -250,33 +293,9 @@ let run ?recover ?metrics cfg proc =
   in
   let next_round () =
     (* Smallest round at which anything can happen; max_int = nothing. *)
-    let c = heap_peek () in
-    let c = if !pending_sent_at >= 0 then min c (!pending_sent_at + 1) else c in
-    min_restart c !restart_queue
+    let c = if !pending_sent_at >= 0 then !pending_sent_at + 1 else max_int in
+    heap_peek (min_restart c !restart_queue)
   in
-  let apply_delivery_filter decision sends =
-    match decision with
-    | Fault.All -> (sends, [])
-    | Fault.Prefix k ->
-        let rec split i acc = function
-          | [] -> (List.rev acc, [])
-          | rest when i = k -> (List.rev acc, rest)
-          | s :: rest -> split (i + 1) (s :: acc) rest
-        in
-        split 0 [] sends
-    | Fault.Indices idx ->
-        let keep = List.sort_uniq compare idx in
-        let kept, dropped =
-          List.fold_left
-            (fun (i, (k, d)) s ->
-              if List.mem i keep then (i + 1, (s :: k, d)) else (i + 1, (k, s :: d)))
-            (0, ([], []))
-            sends
-          |> snd
-        in
-        (List.rev kept, List.rev dropped)
-  in
-  let n_running = ref t in
   let rec commit_work pid r = function
     | [] -> ()
     | u :: rest ->
@@ -336,7 +355,7 @@ let run ?recover ?metrics cfg proc =
                 proc.step pid r states.(pid) mail)
       in
       let decision =
-        if fast then Fault.Survive
+        if trivial then Fault.Survive
         else
           Fault.on_step cfg.fault
             {
@@ -357,7 +376,7 @@ let run ?recover ?metrics cfg proc =
           if o.terminate then begin
             statuses.(pid) <- Terminated r;
             wakeups.(pid) <- -1;
-            decr n_running;
+            retire pid;
             Metrics.record_terminate metrics pid r;
             if observing then trace_ev (Trace.Terminated_ev { pid; round = r })
           end
@@ -373,7 +392,7 @@ let run ?recover ?metrics cfg proc =
             | None -> wakeups.(pid) <- -1
           end
       | Fault.Crash { keep_work; delivery } ->
-          let delivered, dropped = apply_delivery_filter delivery o.sends in
+          let delivered, dropped = Fault.apply_delivery delivery o.sends in
           (* Program-order causality: within a round, work precedes sends, so
              a crash that lets any message out must also let the work count
              (otherwise a victim could announce work it never performed). *)
@@ -383,87 +402,84 @@ let run ?recover ?metrics cfg proc =
           if observing then trace_dropped pid r dropped;
           statuses.(pid) <- Crashed r;
           wakeups.(pid) <- -1;
-          Fault.note_crash cfg.fault pid r;
+          retire pid;
           Metrics.record_crash metrics pid r;
           Metrics.record_round metrics r;
           if observing then trace_ev (Trace.Crashed_ev { pid; round = r })
     end
   in
-  (* The general sweep: every live pid is visited so silent crashes and
-     Byzantine activations land at exactly the adversary's round. *)
-  let slow_pids r delivering del_idx =
-    for pid = 0 to t - 1 do
-      if alive pid then begin
-        if Fault.crashed_by cfg.fault pid r || byz_degraded_crash pid r then begin
-          statuses.(pid) <- Crashed r;
-          Fault.note_crash cfg.fault pid r;
-          Metrics.record_crash metrics pid r;
-          if observing then trace_ev (Trace.Crashed_ev { pid; round = r })
-        end
-        else if byz_active pid r then begin
-          (* Adversary-controlled: the protocol state is abandoned; the
-             tamper model forges this round's messages. Forged traffic is
-             counted as corruption, not as honest sends — audits and the
-             message bounds judge only what honest processes do. *)
-          (match cfg.tamper with
-          | Some tm -> forge_loop pid r (tm.forge pid ~at:r)
-          | None -> ());
-          set_wakeup pid (r + 1)
-        end
-        else step_pid r pid (if delivering then bufs.(del_idx).(pid) else [])
-      end
+  (* A live pid's turn at round [r] once one of its deadlines has passed,
+     in the adversary's order: a silent death before Byzantine subversion. *)
+  let deadline_passed r pid =
+    if death.(pid) <= r then begin
+      statuses.(pid) <- Crashed r;
+      retire pid;
+      Metrics.record_crash metrics pid r;
+      if observing then trace_ev (Trace.Crashed_ev { pid; round = r })
+    end
+    else begin
+      (* Adversary-controlled: the protocol state is abandoned; the tamper
+         model forges this round's messages. Forged traffic is counted as
+         corruption, not as honest sends — audits and the message bounds
+         judge only what honest processes do. *)
+      (match cfg.tamper with
+      | Some tm -> forge_loop pid r (tm.forge pid ~at:r)
+      | None -> ());
+      set_wakeup pid (r + 1)
+    end
+  in
+  (* insertion sort: inbox destinations arrive nearly ordered (senders run
+     in pid order and broadcast to ascending member lists) *)
+  let sort_mail (a : int array) n =
+    for i = 1 to n - 1 do
+      let v = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > v do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- v
     done
   in
-  (* The trivial-fault fast path: only the pids that are actually due — a
-     message in the inbox or a wakeup at exactly this round — are visited,
-     in pid order, merging the (already (round, pid)-ordered) heap pops with
-     the sorted inbox-destination list. Observably identical to the sweep:
-     with a trivial plan the non-due pids do nothing there either. *)
-  let due_scratch = Array.make t 0 in
-  let fast_pids r delivering del_idx =
-    let nw = ref 0 in
+  (* Visit, in pid order, the pids that are due — a wakeup or fault deadline
+     at or before [r], or mail in the inbox — merging the due list with the
+     sorted inbox-destination list. The pids left out would do nothing. *)
+  let visit_due r delivering del_idx =
     while !heap_n > 0 && !heap_w.(0) <= r do
-      let w = !heap_w.(0) and p = !heap_p.(0) in
+      let w = !heap_w.(0) and k = !heap_p.(0) in
       heap_pop ();
-      if
-        w = r && entry_valid w p
-        && (!nw = 0 || due_scratch.(!nw - 1) <> p)
-      then begin
-        due_scratch.(!nw) <- p;
-        incr nw
-      end
+      if entry_valid w k then queue_due (if k < t then k else k - t)
     done;
+    let nd = !due_n in
+    let due = !due in
+    if not !due_sorted then begin
+      let s = Array.sub due 0 nd in
+      Array.sort Int.compare s;
+      Array.blit s 0 due 0 nd;
+      due_sorted := true
+    end;
     let mail = touched.(del_idx) in
     let mail_n = if delivering then touched_n.(del_idx) else 0 in
-    if mail_n > 0 then begin
-      (* insertion sort: destinations arrive nearly ordered (senders run in
-         pid order and broadcast to ascending member lists) *)
-      for i = 1 to mail_n - 1 do
-        let v = mail.(i) in
-        let j = ref (i - 1) in
-        while !j >= 0 && mail.(!j) > v do
-          mail.(!j + 1) <- mail.(!j);
-          decr j
-        done;
-        mail.(!j + 1) <- v
-      done
-    end;
+    sort_mail mail mail_n;
     let i = ref 0 and j = ref 0 in
     let last = ref (-1) in
-    while !i < !nw || !j < mail_n do
+    while !i < nd || !j < mail_n do
       let p =
-        if !i >= !nw then mail.(!j)
-        else if !j >= mail_n then due_scratch.(!i)
-        else min due_scratch.(!i) mail.(!j)
+        if !i >= nd then mail.(!j)
+        else if !j >= mail_n then due.(!i)
+        else min due.(!i) mail.(!j)
       in
-      if !i < !nw && due_scratch.(!i) = p then incr i;
+      if !i < nd && due.(!i) = p then incr i;
       if !j < mail_n && mail.(!j) = p then incr j;
       if p <> !last then begin
         last := p;
-        if alive p then
-          step_pid r p (if delivering then bufs.(del_idx).(p) else [])
+        if statuses.(p) = Running then
+          if death.(p) > r && subverted_at.(p) > r then
+            step_pid r p (if delivering then bufs.(del_idx).(p) else [])
+          else deadline_passed r p
       end
-    done
+    done;
+    due_n := 0
   in
   let cmp_src a b = compare a.src b.src in
   let deliver_commit r =
@@ -484,8 +500,7 @@ let run ?recover ?metrics cfg proc =
     if delivering then pending_sent_at := -1;
     out_idx := (if delivering then 1 - del_idx else del_idx);
     any_sent := false;
-    if fast then fast_pids r delivering del_idx
-    else slow_pids r delivering del_idx;
+    visit_due r delivering del_idx;
     (* consumed inboxes are cleared whether or not their pid was stepped
        (crashed and sleeping destinations lose their mail, as before) *)
     if delivering then begin
@@ -498,29 +513,13 @@ let run ?recover ?metrics cfg proc =
     if !any_sent then
       with_span ~name:"deliver" ~pid:(-1) ~inc:0 r (fun () -> deliver_commit r)
   in
-  (* A subverted pid never terminates; completion is the honest pids'
-     affair. Without a tamper model nothing changes: byzantine entries
-     degraded to crashes and every pid still retires. *)
-  let retired_or_subverted pid =
-    is_retired statuses.(pid)
-    ||
-    match (cfg.tamper, Fault.byzantine_from cfg.fault pid) with
-    | Some _, Some _ -> true
-    | _ -> false
-  in
-  let all_retired () =
-    if fast then !n_running = 0
-    else
-      let rec go pid = pid >= t || (retired_or_subverted pid && go (pid + 1)) in
-      go 0
-  in
   let rec loop r =
     if r > cfg.max_rounds then Round_limit r
     else begin
       (match cfg.spans with
       | None -> round_body r
       | Some _ -> with_span ~name:"round" ~pid:(-1) ~inc:0 r (fun () -> round_body r));
-      if all_retired () && not (pending_restart ()) then Completed
+      if !live_honest = 0 && not (pending_restart ()) then Completed
       else begin
         let r' = next_round () in
         if r' = max_int then Stalled r
@@ -533,10 +532,10 @@ let run ?recover ?metrics cfg proc =
       end
     end
   in
+  (* Nothing has retired before the first round, so nothing to do is a
+     stall at 0. *)
   let outcome =
     let r0 = next_round () in
-    if r0 = max_int then
-      if Array.for_all is_retired statuses then Completed else Stalled 0
-    else loop r0
+    if r0 = max_int then Stalled 0 else loop r0
   in
   { metrics; statuses; outcome }

@@ -97,6 +97,13 @@ val run :
   'm result
 (** Execute until all processes retire, a stall, or the round limit.
 
+    Each processed round visits, in pid order, only the pids with mail, a
+    due wakeup or a due fault deadline. A pid's silent-death round
+    ({!Fault.first_crash}; without a tamper model also its Byzantine
+    activation) and, with a tamper model, its activation round are read
+    once per incarnation. They never make a round processed: the pid dies
+    or turns Byzantine at the first processed round at or after them.
+
     Crash–recovery: if the fault plan carries a restart schedule
     ({!Fault.restarts}), each entry [(pid, rr)] revives [pid] at the start
     of the first processed round [>= rr], provided [pid] crashed strictly

@@ -62,6 +62,12 @@ let map ?jobs f tasks =
     let helpers = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
     worker ();
     List.iter Domain.join helpers;
+    (* An exited domain's heap stays orphaned, and counted in [Gc] heap
+       statistics, until some later major cycle adopts and sweeps it —
+       sooner if the calling domain happened to finish its tasks last. One
+       full major here frees it before returning, so the caller's heap
+       does not depend on which worker ran the last task. *)
+    if helpers <> [] then Gc.full_major ();
     Array.map
       (function
         | Done v -> v

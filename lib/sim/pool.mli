@@ -16,8 +16,9 @@ val default_jobs : unit -> int
 val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~jobs f tasks] is [Array.map f tasks] computed on [jobs] worker
     domains (default {!default_jobs}; clamped to the task count; [1] runs
-    in the calling domain with no spawns). [f] must not touch shared
-    mutable state. @raise Invalid_argument if [jobs < 1]. *)
+    in the calling domain with no spawns). With helper domains it ends
+    with one [Gc.full_major], which frees their heaps. [f] must not touch
+    shared mutable state. @raise Invalid_argument if [jobs < 1]. *)
 
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** List version of {!map}. *)

@@ -172,6 +172,78 @@ let test_keep_work_dropped_without_delivery () =
   Alcotest.(check int) "work dropped" 0 (Simkit.Metrics.work res.metrics);
   Alcotest.(check int) "no message" 0 (count_received res)
 
+let test_acting_crash_needs_an_action () =
+  (* p1 is listed for an acting crash from round 0 but never steps: it is
+     never crashed, stays Running, and the run stalls once p0 is done *)
+  let fault =
+    Simkit.Fault.crash_acting_at
+      [ (1, 0, Simkit.Fault.Crash { keep_work = false; delivery = Prefix 0 }) ]
+  in
+  let proc =
+    {
+      init = (fun pid -> ((), if pid = 0 then Some 0 else None));
+      step = (fun _ _ () _ -> outcome () ~terminate:true);
+    }
+  in
+  let res = Simkit.Kernel.run (config ~fault ~t:2 ~n:1 ()) proc in
+  Alcotest.(check bool) "p1 still running" true (res.statuses.(1) = Running);
+  Alcotest.(check int) "no crash" 0 (Simkit.Metrics.crashes res.metrics);
+  Alcotest.(check bool) "stalled" true
+    (match res.outcome with Simkit.Kernel.Stalled _ -> true | _ -> false)
+
+let test_first_crash_finds () =
+  let fault = Simkit.Fault.crash_silently_at [ (2, 17) ] in
+  let first pid from upto = Simkit.Fault.first_crash fault pid ~from ~upto in
+  Alcotest.(check (option int)) "deadline found" (Some 17) (first 2 0 1_000_000);
+  Alcotest.(check (option int)) "already dead at from" (Some 20) (first 2 20 100);
+  Alcotest.(check (option int)) "beyond upto" None (first 2 0 10);
+  Alcotest.(check (option int)) "never dies" None (first 1 0 max_int);
+  let far = Simkit.Fault.crash_silently_at [ (0, max_int - 10); (1, max_int) ] in
+  Alcotest.(check (option int)) "death near max_int" (Some (max_int - 10))
+    (Simkit.Fault.first_crash far 0 ~from:0 ~upto:max_int);
+  Alcotest.(check (option int)) "death at max_int" (Some max_int)
+    (Simkit.Fault.first_crash far 1 ~from:0 ~upto:max_int);
+  (* every death round against every start below it, with the query count
+     bounded by the distance, not by [upto] *)
+  let queries = ref 0 in
+  for d = 0 to 300 do
+    let fault =
+      Simkit.Fault.custom
+        ~crashed_by:(fun _ r ->
+          incr queries;
+          r >= d)
+        ~on_step:(fun _ -> Simkit.Fault.Survive)
+        ()
+    in
+    List.iter
+      (fun from ->
+        queries := 0;
+        Alcotest.(check (option int))
+          (Printf.sprintf "d=%d from=%d" d from)
+          (Some d)
+          (Simkit.Fault.first_crash fault 0 ~from ~upto:(max_int / 2));
+        let bound = 3 + (2 * int_of_float (Float.log2 (float_of_int (d - from + 1)))) in
+        if !queries > bound then
+          Alcotest.failf "d=%d from=%d: %d queries > %d" d from !queries bound)
+      [ 0; d / 2; d ]
+  done
+
+let test_apply_delivery () =
+  let sends = [ 10; 11; 12; 13; 14 ] in
+  let check name d kept dropped =
+    Alcotest.(check (pair (list int) (list int)))
+      name (kept, dropped)
+      (Simkit.Fault.apply_delivery d sends)
+  in
+  check "all" All sends [];
+  check "prefix 0" (Prefix 0) [] sends;
+  check "prefix 2" (Prefix 2) [ 10; 11 ] [ 12; 13; 14 ];
+  check "prefix past the end" (Prefix 9) sends [];
+  check "negative prefix keeps all" (Prefix (-1)) sends [];
+  check "indices, unsorted with repeats and strays"
+    (Indices [ 3; 1; 3; 7; -2 ]) [ 11; 13 ] [ 10; 12; 14 ];
+  check "no indices" (Indices []) [] sends
+
 let test_work_multiplicity () =
   let proc =
     {
@@ -234,6 +306,10 @@ let suite =
     Alcotest.test_case "sends to dead still count" `Quick test_messages_to_dead_count;
     Alcotest.test_case "delivered send forces work kept" `Quick test_keep_work_forced_with_delivery;
     Alcotest.test_case "prefix-0 crash drops work" `Quick test_keep_work_dropped_without_delivery;
+    Alcotest.test_case "acting crash needs an action" `Quick test_acting_crash_needs_an_action;
+    Alcotest.test_case "first_crash finds the silent-death round" `Quick
+      test_first_crash_finds;
+    Alcotest.test_case "delivery filter splits sends in order" `Quick test_apply_delivery;
     Alcotest.test_case "work multiplicity accounting" `Quick test_work_multiplicity;
     Alcotest.test_case "round limit guard" `Quick test_round_limit;
     Alcotest.test_case "kernel determinism" `Quick test_determinism;
