@@ -1118,7 +1118,7 @@ let e20 ?(schedules = 40) ?jobs () =
    the simulator and once as a fleet of real dhw_node processes over unix
    sockets, with the fault plan enforced by actual SIGKILLs and respawned
    incarnations recovering from on-disk checkpoints. Because the
-   orchestrator replicates the kernel's loop rules and consults the same
+   orchestrator runs the fleet through the kernel's own loop over the same
    fault plan, every effort measure (work, messages, rounds, stable writes)
    must match exactly; the kill-storm rows double as a survival check for
    the respawn/recover path under back-to-back process deaths. *)

@@ -343,9 +343,6 @@ let main () =
         persist_pending := 0;
         send (Net.Frame.Step_result { round; sends; work; terminate; wakeup; persists });
         loop ()
-    | Net.Frame.Heartbeat { tick } ->
-        send (Net.Frame.Heartbeat { tick });
-        loop ()
     | Net.Frame.Shutdown -> exit 0
     | f -> die "unexpected frame %s" (Fmt.str "%a" Net.Frame.pp f)
   in

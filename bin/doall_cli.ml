@@ -1374,12 +1374,12 @@ let net_print_report ~report_fmt ~fault_desc ~protocol spec
       let s = res.Net.Orchestrator.transport in
       Format.printf
         "transport: connects=%d retries=%d timeouts=%d frames=%d/%d \
-         spawns=%d kills=%d respawns=%d heartbeats=%d wall=%.2fs@."
+         spawns=%d kills=%d respawns=%d wall=%.2fs@."
         s.Net.Transport.connects s.Net.Transport.retries
         s.Net.Transport.timeouts s.Net.Transport.frames_sent
         s.Net.Transport.frames_received res.Net.Orchestrator.spawns
         res.Net.Orchestrator.kills res.Net.Orchestrator.respawns
-        res.Net.Orchestrator.heartbeats res.Net.Orchestrator.wall_s;
+        res.Net.Orchestrator.wall_s;
       Format.printf "outcome: %s@."
         (Net.Orchestrator.stop_to_string res.Net.Orchestrator.stop);
       Format.printf "verdict: %s@." (if correct then "CORRECT" else "INCORRECT"));
@@ -1399,7 +1399,7 @@ let watchdog_arg =
 
 let io_timeout_arg =
   Arg.(value & opt float 10. & info [ "io-timeout" ] ~docv:"SECONDS"
-       ~doc:"Per-RPC deadline (handshake, step, heartbeat).")
+       ~doc:"Per-RPC deadline (handshake, step, shutdown).")
 
 let rejoin_arg =
   Arg.(value & opt int 3 & info [ "rejoin-rounds" ] ~docv:"ROUNDS"

@@ -50,7 +50,6 @@ type t =
       wakeup : int option;
       persists : int;  (** stable-storage writes performed during this step *)
     }
-  | Heartbeat of { tick : int }  (** echoed verbatim by the peer *)
   | Shutdown
 
 val encode : t -> string

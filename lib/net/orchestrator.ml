@@ -1,6 +1,8 @@
 open Simkit.Types
 module Fault = Simkit.Fault
+module Kernel = Simkit.Kernel
 module Metrics = Simkit.Metrics
+module Obs = Simkit.Obs
 module Trace = Simkit.Trace
 
 type config = {
@@ -90,7 +92,6 @@ let transport_json cfg res =
           ("spawns", Dhw_util.Jsonw.Int res.spawns);
           ("kills", Dhw_util.Jsonw.Int res.kills);
           ("respawns", Dhw_util.Jsonw.Int res.respawns);
-          ("heartbeats", Dhw_util.Jsonw.Int res.heartbeats);
           ("io_timeout_s", Dhw_util.Jsonw.Float cfg.io_timeout_s);
           ("watchdog_s", Dhw_util.Jsonw.Float cfg.watchdog_s);
           ("wall_s", Dhw_util.Jsonw.Float res.wall_s);
@@ -106,9 +107,17 @@ type node = {
 }
 
 exception Bad_node of string
+exception Out_of_time
+
+let bad fmt = Printf.ksprintf (fun msg -> raise (Bad_node msg)) fmt
 
 let known_protocols = [ "a"; "b"; "a+rec"; "b+rec" ]
 
+(* The fleet is a step backend for [Kernel.run]: the kernel owns the round
+   loop, the fault plan, restarts, delivery and every metric but persists;
+   this module only turns a step into a Round_start/Step_result RPC, a
+   revival into a respawn, and the kernel's crash and termination events
+   into a SIGKILL and a graceful shutdown. *)
 let run cfg =
   if cfg.t <= 0 then invalid_arg "Orchestrator.run: need at least one process";
   if not (List.mem cfg.protocol known_protocols) then
@@ -118,42 +127,33 @@ let run cfg =
   let stats = Transport.stats () in
   let trace = Trace.create () in
   let metrics = Metrics.create ~n_processes:cfg.t ~n_units:cfg.n in
+  (* Mirrors the kernel's statuses from its events, so a run cut short by
+     an exception still reports who was up. *)
   let statuses = Array.make cfg.t Running in
-  let wakeups : round option array = Array.make cfg.t None in
+  let hello_wakeups : round option array = Array.make cfg.t None in
   let spawns = ref 0 and kills = ref 0 and respawns = ref 0 in
-  let heartbeats = ref 0 in
-  if not (Sys.file_exists cfg.ckpt_dir) then Unix.mkdir cfg.ckpt_dir 0o755;
-  (match cfg.log_dir with
-  | Some d when not (Sys.file_exists d) -> Unix.mkdir d 0o755
-  | _ -> ());
-  (match cfg.trace_dir with
-  | Some d when not (Sys.file_exists d) -> Unix.mkdir d 0o755
-  | _ -> ());
-  (* Control-plane spans, collected in memory and merged with the nodes'
-     per-pid trace files after the run. Inert without a trace_dir. *)
-  let ctl_spans = ref [] in
+  let ensure_dir d = if not (Sys.file_exists d) then Unix.mkdir d 0o755 in
+  ensure_dir cfg.ckpt_dir;
+  Option.iter ensure_dir cfg.log_dir;
+  Option.iter ensure_dir cfg.trace_dir;
+  (* Control-plane spans: the kernel's round/step/deliver spans plus
+     spawn/kill/respawn marks, merged with the nodes' per-pid trace files
+     after the run. Inert without a trace_dir. *)
   let tracing = cfg.trace_dir <> None in
-  let ctl_mark ?(args = []) ~name ~pid ~inc ~round () =
+  let span_sink, kernel_spans = Obs.span_collector ~src:"ctl" () in
+  let marks = ref [] in
+  let ctl_mark ~name ~pid ~inc ~round =
     if tracing then
-      ctl_spans :=
+      marks :=
         { Dhw_util.Spanfile.name; src = "ctl"; pid; inc; round;
-          ts_us = Dhw_util.Clock.now_us (); dur_us = 0.0; args }
-        :: !ctl_spans
-  in
-  let ctl_timed ~name ~pid ~inc ~round f =
-    if not tracing then f ()
-    else begin
-      let ts0 = Dhw_util.Clock.now_us () in
-      let res = f () in
-      ctl_spans :=
-        { Dhw_util.Spanfile.name; src = "ctl"; pid; inc; round; ts_us = ts0;
-          dur_us = Dhw_util.Clock.now_us () -. ts0; args = [] }
-        :: !ctl_spans;
-      res
-    end
+          ts_us = Dhw_util.Clock.now_us (); dur_us = 0.0; args = [] }
+        :: !marks
   in
   let listen_fd = Transport.listen cfg.addr in
   let bound = Transport.bound_addr cfg.addr listen_fd in
+  (* A write to a node that died must surface as [Transport.Closed], not
+     kill the control plane. *)
+  let prev_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let nodes =
     Array.init cfg.t (fun pid -> { npid = pid; os_pid = -1; fd = None; incarnation = 0 })
   in
@@ -175,7 +175,7 @@ let run cfg =
         (f, f, fun () -> Transport.close_noerr f)
   in
   let spawn nd ~recover_at =
-    let base =
+    let argv =
       [
         cfg.node_exe;
         "--addr"; Transport.addr_to_string bound;
@@ -187,17 +187,15 @@ let run cfg =
         "--rejoin-rounds"; string_of_int cfg.rejoin_rounds;
         "--incarnation"; string_of_int nd.incarnation;
         "--seed"; Int64.to_string cfg.seed;
+        (* A node hears from the control plane only when it is stepped, so
+           it may wait out the whole run between two frames. *)
+        "--io-timeout"; string_of_float (cfg.watchdog_s +. cfg.io_timeout_s);
       ]
-    in
-    let base =
-      match cfg.trace_dir with
-      | Some d -> base @ [ "--trace-dir"; d ]
-      | None -> base
-    in
-    let argv =
+      @ (match cfg.trace_dir with Some d -> [ "--trace-dir"; d ] | None -> [])
+      @
       match recover_at with
-      | None -> base
-      | Some r -> base @ [ "--recover"; "--recover-at"; string_of_int r ]
+      | Some r -> [ "--recover"; "--recover-at"; string_of_int r ]
+      | None -> []
     in
     let out, err, close_log = node_log nd in
     let os_pid =
@@ -206,14 +204,8 @@ let run cfg =
     in
     nd.os_pid <- os_pid;
     ctl_mark ~name:"spawn" ~pid:nd.npid ~inc:nd.incarnation
-      ~round:(Option.value ~default:0 recover_at) ();
+      ~round:(Option.value ~default:0 recover_at);
     incr spawns
-  in
-  let reap nd =
-    if nd.os_pid > 0 then begin
-      (try ignore (Unix.waitpid [] nd.os_pid) with Unix.Unix_error _ -> ());
-      nd.os_pid <- -1
-    end
   in
   let close_conn nd =
     match nd.fd with
@@ -223,10 +215,31 @@ let run cfg =
     | None -> ()
   in
   let kill nd =
-    if nd.os_pid > 0 then (
+    if nd.os_pid > 0 then begin
       (try Unix.kill nd.os_pid Sys.sigkill with Unix.Unix_error _ -> ());
-      reap nd);
+      (try ignore (Unix.waitpid [] nd.os_pid) with Unix.Unix_error _ -> ());
+      nd.os_pid <- -1
+    end;
     close_conn nd
+  in
+  (* Reaps the node's process if it has exited. *)
+  let exited nd =
+    nd.os_pid > 0
+    &&
+    match Unix.waitpid [ Unix.WNOHANG ] nd.os_pid with
+    | 0, _ -> false
+    | _ | (exception Unix.Unix_error _) ->
+        nd.os_pid <- -1;
+        true
+  in
+  (* Retries [f] every 20 ms, up to [tries] more times, until it finds
+     something. *)
+  let rec poll tries f =
+    match f () with
+    | None when tries > 0 ->
+        ignore (Unix.select [] [] [] 0.02);
+        poll (tries - 1) f
+    | found -> found
   in
   (* Graceful: ask the node to exit, give it a moment, then make sure. *)
   let shutdown nd =
@@ -236,322 +249,153 @@ let run cfg =
         with Transport.Timeout _ | Transport.Closed _ | Unix.Unix_error _ -> ())
     | None -> ());
     close_conn nd;
-    if nd.os_pid > 0 then begin
-      let rec wait tries =
-        match Unix.waitpid [ Unix.WNOHANG ] nd.os_pid with
-        | 0, _ ->
-            if tries <= 0 then (
-              (try Unix.kill nd.os_pid Sys.sigkill with Unix.Unix_error _ -> ());
-              ignore (Unix.waitpid [] nd.os_pid))
-            else begin
-              ignore (Unix.select [] [] [] 0.02);
-              wait (tries - 1)
-            end
-        | _ -> ()
-        | exception Unix.Unix_error _ -> ()
-      in
-      wait 100;
-      nd.os_pid <- -1
-    end
+    if poll 100 (fun () -> if nd.os_pid <= 0 || exited nd then Some () else None) = None
+    then kill nd
   in
   let cleanup () =
     Array.iter kill nodes;
     Transport.close_noerr listen_fd;
     Transport.close_noerr devnull;
-    match cfg.addr with
+    (match cfg.addr with
     | Transport.Unix_sock p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
-    | Transport.Tcp _ -> ()
+    | Transport.Tcp _ -> ());
+    Sys.set_signal Sys.sigpipe prev_sigpipe
   in
-  (* Accept one connection and bind it to the node its Hello names. *)
+  (* Accept one connection, bind it to the node its Hello names, and return
+     that pid with the wakeup it announced. *)
   let accept_hello ~expect ~welcome_round =
     let conn = Transport.accept ~timeout_s:(io_left ()) ~stats listen_fd in
+    let reject fmt =
+      Printf.ksprintf (fun msg -> Transport.close_noerr conn; raise (Bad_node msg)) fmt
+    in
     match Transport.recv_frame ~stats ~timeout_s:(io_left ()) conn with
     | Frame.Hello h ->
-        if h.pid < 0 || h.pid >= cfg.t then (
-          Transport.close_noerr conn;
-          raise (Bad_node (Printf.sprintf "hello from out-of-range pid %d" h.pid)));
+        if h.pid < 0 || h.pid >= cfg.t then reject "hello from out-of-range pid %d" h.pid;
         let nd = nodes.(h.pid) in
         (match expect with
-        | Some p when p <> h.pid ->
-            Transport.close_noerr conn;
-            raise (Bad_node (Printf.sprintf "expected hello from pid %d, got %d" p h.pid))
+        | Some p when p <> h.pid -> reject "expected hello from pid %d, got %d" p h.pid
         | _ -> ());
-        if nd.fd <> None then (
-          Transport.close_noerr conn;
-          raise (Bad_node (Printf.sprintf "duplicate hello from pid %d" h.pid)));
+        if nd.fd <> None then reject "duplicate hello from pid %d" h.pid;
         if h.protocol <> cfg.protocol || h.n <> cfg.n || h.t <> cfg.t then
-          raise
-            (Bad_node
-               (Printf.sprintf "pid %d hello mismatch: %s n=%d t=%d (want %s n=%d t=%d)"
-                  h.pid h.protocol h.n h.t cfg.protocol cfg.n cfg.t));
+          reject "pid %d hello mismatch: %s n=%d t=%d (want %s n=%d t=%d)" h.pid
+            h.protocol h.n h.t cfg.protocol cfg.n cfg.t;
         if h.incarnation <> nd.incarnation then
-          raise
-            (Bad_node
-               (Printf.sprintf "pid %d hello incarnation %d, expected %d" h.pid
-                  h.incarnation nd.incarnation));
+          reject "pid %d hello incarnation %d, expected %d" h.pid h.incarnation
+            nd.incarnation;
         (match h.wakeup with
-        | Some w when w < 0 -> raise (Bad_node (Printf.sprintf "pid %d negative wakeup" h.pid))
+        | Some w when w < 0 -> reject "pid %d negative wakeup" h.pid
         | _ -> ());
         nd.fd <- Some conn;
-        wakeups.(h.pid) <- h.wakeup;
         Transport.send_frame ~stats ~timeout_s:(io_left ()) conn
           (Frame.Welcome { round = welcome_round });
-        h.pid
-    | f ->
-        Transport.close_noerr conn;
-        raise (Bad_node (Fmt.str "expected hello, got %a" Frame.pp f))
-  in
-  let conn_of nd =
-    match nd.fd with
-    | Some fd -> fd
-    | None -> raise (Bad_node (Printf.sprintf "pid %d has no connection" nd.npid))
-  in
-  let alive pid = statuses.(pid) = Running in
-  (* Without a tamper model a Byzantine entry degrades to a silent crash at
-     its activation round — the kernel's rule, and there is no tamper model
-     over real sockets. *)
-  let byz_degraded pid r =
-    match Fault.byzantine_from cfg.fault pid with Some b0 -> b0 <= r | None -> false
-  in
-  let restart_queue =
-    ref (List.sort compare (List.map (fun (p, r) -> (r, p)) (Fault.restarts cfg.fault)))
-  in
-  let applicable (rr, pid) =
-    pid >= 0 && pid < cfg.t
-    && match statuses.(pid) with Crashed rc -> rr > rc | _ -> false
-  in
-  let pending_restart () = List.exists applicable !restart_queue in
-  let pending : (round * Frame.envelope list array) option ref = ref None in
-  let next_round () =
-    let candidate = ref None in
-    let consider r =
-      match !candidate with Some c when c <= r -> () | _ -> candidate := Some r
-    in
-    (match !pending with Some (sent_at, _) -> consider (sent_at + 1) | None -> ());
-    Array.iteri
-      (fun pid w -> match w with Some r when alive pid -> consider r | _ -> ())
-      wakeups;
-    List.iter (fun (rr, pid) -> if applicable (rr, pid) then consider rr) !restart_queue;
-    !candidate
-  in
-  let deliveries_for r =
-    match !pending with
-    | Some (sent_at, boxes) when sent_at + 1 = r ->
-        pending := None;
-        Some boxes
-    | _ -> None
-  in
-  let apply_restarts r =
-    let rec go () =
-      match !restart_queue with
-      | (rr, pid) :: rest when rr <= r ->
-          restart_queue := rest;
-          if applicable (rr, pid) then begin
-            let nd = nodes.(pid) in
-            nd.incarnation <- nd.incarnation + 1;
-            spawn nd ~recover_at:(Some r);
-            incr respawns;
-            ctl_mark ~name:"respawn" ~pid ~inc:nd.incarnation ~round:r ();
-            ignore (accept_hello ~expect:(Some pid) ~welcome_round:r);
-            statuses.(pid) <- Running;
-            Fault.note_restart cfg.fault pid r;
-            Metrics.record_restart metrics pid r;
-            Trace.record trace (Trace.Restarted_ev { pid; round = r })
-          end;
-          go ()
-      | _ -> ()
-    in
-    go ()
-  in
-  let commit_crash pid r ~signal =
-    if signal then begin
-      kill nodes.(pid);
-      incr kills;
-      ctl_mark ~name:"kill" ~pid ~inc:nodes.(pid).incarnation ~round:r ()
-    end;
-    statuses.(pid) <- Crashed r;
-    wakeups.(pid) <- None;
-    Metrics.record_crash metrics pid r;
-    Trace.record trace (Trace.Crashed_ev { pid; round = r })
+        (h.pid, h.wakeup)
+    | f -> reject "expected hello, got %s" (Fmt.str "%a" Frame.pp f)
   in
   let cur = ref 0 in
-  let run_loop () =
-    (* Launch the fleet and collect the handshakes. *)
+  let enter r =
+    cur := r;
+    if Unix.gettimeofday () > deadline then raise Out_of_time
+  in
+  (* The kernel's message type is the node's own send record, so a trace
+     shows the node's [show] string and the payload bytes pass through
+     untouched. *)
+  let step pid r () (inbox : Frame.send envelope list) =
+    enter r;
+    let fd =
+      match nodes.(pid).fd with
+      | Some fd -> fd
+      | None -> bad "pid %d has no connection" pid
+    in
+    let inbox =
+      List.map
+        (fun (e : Frame.send envelope) ->
+          { Frame.src = e.src; sent_at = e.sent_at; payload = e.payload.Frame.payload })
+        inbox
+    in
+    Transport.send_frame ~stats ~timeout_s:(io_left ()) fd
+      (Frame.Round_start { round = r; inbox });
+    match Transport.recv_frame ~stats ~timeout_s:(io_left ()) fd with
+    | Frame.Step_result { round = rr; sends; work; terminate; wakeup; persists } ->
+        if rr <> r then bad "pid %d replied for round %d at round %d" pid rr r;
+        (match wakeup with
+        | Some w when w <= r && not terminate ->
+            bad "pid %d at round %d asked for non-future wakeup %d" pid r w
+        | _ -> ());
+        (* Stable-storage writes happened inside the node's step, before the
+           kernel's crash decision — write-ahead, as in the simulator. *)
+        for _ = 1 to persists do
+          Metrics.record_persist metrics pid r
+        done;
+        {
+          state = ();
+          sends = List.map (fun (s : Frame.send) -> { dst = s.dst; payload = s }) sends;
+          work;
+          terminate;
+          wakeup;
+        }
+    | f -> bad "pid %d: expected step result, got %s" pid (Fmt.str "%a" Frame.pp f)
+  in
+  let recover pid r =
+    enter r;
+    let nd = nodes.(pid) in
+    nd.incarnation <- nd.incarnation + 1;
+    spawn nd ~recover_at:(Some r);
+    incr respawns;
+    ctl_mark ~name:"respawn" ~pid ~inc:nd.incarnation ~round:r;
+    let _, wakeup = accept_hello ~expect:(Some pid) ~welcome_round:r in
+    ((), wakeup)
+  in
+  (* Observes the run, never changes it: the kernel has already committed
+     each event when it reaches this sink. *)
+  let lifecycle = function
+    | Obs.Crash { pid; at } ->
+        statuses.(pid) <- Crashed at;
+        kill nodes.(pid);
+        incr kills;
+        ctl_mark ~name:"kill" ~pid ~inc:nodes.(pid).incarnation ~round:at
+    | Obs.Terminate { pid; at } ->
+        statuses.(pid) <- Terminated at;
+        shutdown nodes.(pid)
+    | Obs.Restart { pid; _ } -> statuses.(pid) <- Running
+    | _ -> ()
+  in
+  (* A node that exited outside the fault plan while nobody had mail for it
+     leaves the kernel with nothing to do. Before calling the run stalled,
+     look for such a node, polling briefly in case it is still on its way
+     out. *)
+  let exited_outside_plan r stop =
+    match
+      poll 10 (fun () ->
+          Array.find_opt (fun nd -> statuses.(nd.npid) = Running && exited nd) nodes)
+    with
+    | Some nd -> Node_failure (r, Printf.sprintf "pid %d exited outside the fault plan" nd.npid)
+    | None -> stop
+  in
+  let run_fleet () =
     Array.iter (fun nd -> spawn nd ~recover_at:None) nodes;
     for _ = 1 to cfg.t do
-      ignore (accept_hello ~expect:None ~welcome_round:0)
+      let pid, wakeup = accept_hello ~expect:None ~welcome_round:0 in
+      hello_wakeups.(pid) <- wakeup
     done;
-    let rec loop r =
-      cur := r;
-      if r > cfg.max_rounds then Round_limit r
-      else if Unix.gettimeofday () > deadline then Watchdog r
-      else begin
-        ctl_timed ~name:"round" ~pid:(-1) ~inc:0 ~round:r (fun () ->
-        apply_restarts r;
-        let boxes = deliveries_for r in
-        let inbox pid = match boxes with Some b -> b.(pid) | None -> [] in
-        let out = Array.make cfg.t ([] : Frame.envelope list) in
-        let any_sent = ref false in
-        for pid = 0 to cfg.t - 1 do
-          if alive pid then begin
-            if Fault.crashed_by cfg.fault pid r || byz_degraded pid r then
-              commit_crash pid r ~signal:true
-            else begin
-              let nd = nodes.(pid) in
-              let mail = inbox pid in
-              let due = match wakeups.(pid) with Some w -> w <= r | None -> false in
-              if mail <> [] || due then begin
-                Trace.record trace (Trace.Stepped { pid; round = r });
-                let fd = conn_of nd in
-                let sends, work, terminate, wakeup, persists =
-                  ctl_timed ~name:"rpc" ~pid ~inc:nd.incarnation ~round:r
-                    (fun () ->
-                      Transport.send_frame ~stats ~timeout_s:(io_left ()) fd
-                        (Frame.Round_start { round = r; inbox = mail });
-                      match
-                        Transport.recv_frame ~stats ~timeout_s:(io_left ()) fd
-                      with
-                      | Frame.Step_result
-                          { round = rr; sends; work; terminate; wakeup; persists }
-                        ->
-                          if rr <> r then
-                            raise
-                              (Bad_node
-                                 (Printf.sprintf
-                                    "pid %d replied for round %d at round %d"
-                                    pid rr r));
-                          (sends, work, terminate, wakeup, persists)
-                      | f ->
-                          raise
-                            (Bad_node
-                               (Fmt.str "pid %d: expected step result, got %a"
-                                  pid Frame.pp f)))
-                in
-                (* Stable-storage writes happened inside the node's step,
-                   before any crash decision — write-ahead, as in the sim. *)
-                for _ = 1 to persists do
-                  Metrics.record_persist metrics pid r
-                done;
-                let view =
-                  {
-                    Fault.sv_pid = pid;
-                    sv_round = r;
-                    sv_sends = List.length sends;
-                    sv_works = List.length work;
-                    sv_terminating = terminate;
-                    sv_works_done_before = Metrics.work_by metrics pid;
-                  }
-                in
-                let decision = Fault.on_step cfg.fault view in
-                let commit_sends sends =
-                  List.iter
-                    (fun s ->
-                      Metrics.record_send metrics pid;
-                      Trace.record trace
-                        (Trace.Sent { src = pid; dst = s.Frame.dst; round = r; what = s.Frame.show });
-                      if s.Frame.dst >= 0 && s.Frame.dst < cfg.t then begin
-                        out.(s.Frame.dst) <-
-                          { Frame.src = pid; sent_at = r; payload = s.Frame.payload }
-                          :: out.(s.Frame.dst);
-                        any_sent := true
-                      end)
-                    sends
-                in
-                let commit_work () =
-                  List.iter
-                    (fun u ->
-                      Metrics.record_work metrics pid u;
-                      Trace.record trace (Trace.Worked { pid; round = r; unit_id = u }))
-                    work
-                in
-                match decision with
-                | Fault.Survive ->
-                    commit_work ();
-                    commit_sends sends;
-                    Metrics.record_round metrics r;
-                    if terminate then begin
-                      statuses.(pid) <- Terminated r;
-                      wakeups.(pid) <- None;
-                      Metrics.record_terminate metrics pid r;
-                      Trace.record trace (Trace.Terminated_ev { pid; round = r });
-                      shutdown nd
-                    end
-                    else begin
-                      (match wakeup with
-                      | Some w when w <= r ->
-                          raise
-                            (Bad_node
-                               (Printf.sprintf
-                                  "pid %d at round %d asked for non-future wakeup %d" pid
-                                  r w))
-                      | _ -> ());
-                      wakeups.(pid) <- wakeup
-                    end
-                | Fault.Crash { keep_work; delivery } ->
-                    let delivered, dropped = Fault.apply_delivery delivery sends in
-                    let keep_work = keep_work || delivered <> [] in
-                    if keep_work then commit_work ();
-                    commit_sends delivered;
-                    List.iter
-                      (fun s ->
-                        Trace.record trace
-                          (Trace.Dropped
-                             { src = pid; dst = s.Frame.dst; round = r; what = s.Frame.show }))
-                      dropped;
-                    commit_crash pid r ~signal:true;
-                    Metrics.record_round metrics r
-              end
-              else begin
-                (* Sleeping this round: probe liveness so a node that died
-                   outside the fault plan surfaces as a failure, not a hang
-                   at its next wakeup. *)
-                let fd = conn_of nd in
-                incr heartbeats;
-                ctl_timed ~name:"hb" ~pid ~inc:nd.incarnation ~round:r
-                  (fun () ->
-                    Transport.send_frame ~stats ~timeout_s:(io_left ()) fd
-                      (Frame.Heartbeat { tick = r });
-                    match
-                      Transport.recv_frame ~stats ~timeout_s:(io_left ()) fd
-                    with
-                    | Frame.Heartbeat { tick } when tick = r -> ()
-                    | f ->
-                        raise
-                          (Bad_node
-                             (Fmt.str "pid %d: expected heartbeat echo, got %a"
-                                pid Frame.pp f)))
-              end
-            end
-          end
-        done;
-        if !any_sent then begin
-          Array.iteri
-            (fun dst msgs ->
-              out.(dst) <-
-                List.sort (fun a b -> compare a.Frame.src b.Frame.src) msgs)
-            out;
-          pending := Some (r, out)
-        end);
-        let all_retired =
-          let rec go pid = pid >= cfg.t || (is_retired statuses.(pid) && go (pid + 1)) in
-          go 0
-        in
-        if all_retired && not (pending_restart ()) then Completed
-        else
-          match next_round () with
-          | Some r' ->
-              assert (r' > r);
-              loop r'
-          | None -> Stalled r
-      end
+    let kcfg =
+      Kernel.config ~fault:cfg.fault ~max_rounds:cfg.max_rounds ~trace ~obs:lifecycle
+        ~show:(fun (s : Frame.send) -> s.show)
+        ?spans:(if tracing then Some span_sink else None)
+        ~n_processes:cfg.t ~n_units:cfg.n ()
     in
-    match next_round () with
-    | Some r0 -> loop r0
-    | None -> if Array.for_all is_retired statuses then Completed else Stalled 0
+    let res =
+      Kernel.run ~recover ~metrics kcfg
+        { init = (fun pid -> ((), hello_wakeups.(pid))); step }
+    in
+    match res.outcome with
+    | Kernel.Completed -> Completed
+    | Kernel.Stalled r -> exited_outside_plan r (Stalled r)
+    | Kernel.Round_limit r -> exited_outside_plan r (Round_limit r)
   in
   let stop =
-    match run_loop () with
+    match run_fleet () with
     | stop -> stop
+    | exception Out_of_time -> Watchdog !cur
     | exception Bad_node msg -> Node_failure (!cur, msg)
     | exception Transport.Timeout msg ->
         if Unix.gettimeofday () > deadline then Watchdog !cur
@@ -579,27 +423,23 @@ let run cfg =
       in
       Sf.write_file ~meta ~source:"ctl"
         (Filename.concat dir "trace-ctl.jsonl")
-        (List.rev !ctl_spans);
+        (Sf.merge [ List.rev !marks; kernel_spans () ]);
       let parts =
         Sys.readdir dir |> Array.to_list
         |> List.filter (fun f ->
                f <> "trace.jsonl"
-               && String.length f > 6
-               && String.sub f 0 6 = "trace-"
+               && String.starts_with ~prefix:"trace-" f
                && Filename.check_suffix f ".jsonl")
         |> List.sort compare
       in
       let streams =
         List.filter_map
-          (fun f ->
-            match Sf.read_file (Filename.concat dir f) with
-            | Ok { Sf.spans; _ } -> Some spans
-            | Error _ -> None)
+          (fun f -> Result.to_option (Sf.read_file (Filename.concat dir f)))
           parts
       in
       Sf.write_file ~meta ~source:"merged"
         (Filename.concat dir "trace.jsonl")
-        (Sf.merge streams));
+        (Sf.merge (List.map (fun (f : Sf.file) -> f.spans) streams)));
   {
     metrics;
     statuses;
@@ -609,6 +449,6 @@ let run cfg =
     spawns = !spawns;
     kills = !kills;
     respawns = !respawns;
-    heartbeats = !heartbeats;
+    heartbeats = 0;
     wall_s = Unix.gettimeofday () -. started;
   }

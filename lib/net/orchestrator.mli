@@ -1,19 +1,19 @@
 (** Control-plane orchestrator for the real-process deployment mode.
 
-    Runs the round-synchronous Do-All execution that [Simkit.Kernel.run]
-    simulates, but with each participant living in its own OS process
-    ([dhw_node]) reached over a socket: the orchestrator is the lockstep
-    scheduler and message switch, the nodes hold the protocol state. Every
-    structural rule of the kernel loop is reproduced — delivery of round-[r]
-    sends at [r+1], idle-round skipping, pid-order stepping, per-pid inboxes
-    sorted by sender, the acting-crash [keep_work || delivered <> []] rule,
-    restart applicability — and the fault plan is consulted through exactly
-    the same [Simkit.Fault] kernel interface, so a schedule replayed here
-    and in the simulator yields the same metrics whenever the real run is
-    fault-free at the OS level. The one semantic difference: a [Crash]
-    decision is enforced with a real [SIGKILL], and a [Restart] entry with a
-    real [exec] of a fresh incarnation that must recover from its on-disk
-    checkpoint. *)
+    Runs the round-synchronous Do-All execution through [Simkit.Kernel.run]
+    itself, with each participant living in its own OS process ([dhw_node])
+    reached over a socket: the nodes hold the protocol state, and the
+    kernel's step is a [Round_start]/[Step_result] RPC. The round loop, the
+    fault plan, restarts and message delivery are the kernel's, so a
+    schedule replayed here and in the simulator yields the same metrics,
+    statuses and trace whenever the real run is fault-free at the OS level.
+    What the orchestrator adds is process management: a crash the kernel
+    commits is enforced with a real [SIGKILL], a revival with a real [exec]
+    of a fresh incarnation that must recover from its on-disk checkpoint,
+    and a termination with a graceful shutdown. A node is sent frames only
+    while it is being stepped, spawned or shut down; one that dies outside
+    the fault plan is found when its next RPC hits a closed socket, or, if
+    nobody has anything to send it, when the kernel runs out of work. *)
 
 type config = {
   node_exe : string;  (** path to the [dhw_node] binary *)
@@ -23,22 +23,22 @@ type config = {
   n : int;  (** work units *)
   t : int;  (** processes *)
   fault : Simkit.Fault.t;
-      (** consulted exactly as the kernel does; [Corrupt]/[Byzantine]
-          entries must be rejected by the caller — there is no tamper model
-          over real sockets, so a Byzantine entry degrades to a silent
-          crash, as in the kernel *)
+      (** handed to the kernel; [Corrupt]/[Byzantine] entries must be
+          rejected by the caller — there is no tamper model over real
+          sockets, so a Byzantine entry degrades to a silent crash *)
   ckpt_dir : string;  (** per-pid checkpoint files live here *)
   log_dir : string option;
       (** node stdout/stderr go to [node-<pid>.log] here; inherit if [None] *)
   rejoin_rounds : int;
   watchdog_s : float;  (** wall-clock budget for the whole run *)
-  io_timeout_s : float;  (** per-RPC deadline (spawn-to-hello, step, kill) *)
+  io_timeout_s : float;  (** per-RPC deadline (spawn-to-hello, step, shutdown) *)
   max_rounds : int;
   trace_dir : string option;
       (** when set, nodes are launched with [--trace-dir] and write per-pid
           [trace-<pid>.jsonl] span files there; the orchestrator adds its
-          control-plane spans as [trace-ctl.jsonl] (round, per-step RPC,
-          heartbeat probes, spawn/kill/respawn marks) and, after the run,
+          control-plane spans as [trace-ctl.jsonl] (the kernel's [round],
+          [step] and [deliver] spans, as in a simulator trace, plus
+          spawn/kill/respawn marks) and, after the run,
           merges everything — including partial files from SIGKILLed nodes
           — into one causally-ordered [dhw-trace/v1] stream at
           [trace.jsonl]. [None] (the default) traces nothing. *)
@@ -73,8 +73,9 @@ type stop =
   | Watchdog of Simkit.Types.round
       (** wall-clock budget exhausted at the given round *)
   | Node_failure of Simkit.Types.round * string
-      (** a node died or misbehaved outside the fault plan (unexpected EOF,
-          RPC timeout, malformed frame, protocol violation) *)
+      (** a node died or misbehaved outside the fault plan (its process
+          exited, unexpected EOF, RPC timeout, malformed frame, protocol
+          violation) *)
 
 val stop_to_string : stop -> string
 
@@ -98,16 +99,15 @@ type result = {
   kills : int;  (** SIGKILLs delivered by the fault plan *)
   respawns : int;  (** restart entries committed with a fresh incarnation *)
   heartbeats : int;
-      (** liveness probes sent to sleeping nodes; a probe that is not
-          echoed raises [Bad_node] and stops the run, so a non-zero count
-          with a clean stop means every suspicion was refuted *)
+      (** always [0]: sleeping nodes are no longer probed. Kept so readers
+          of earlier results still build. *)
   wall_s : float;
 }
 
 val transport_json : config -> result -> (string * Dhw_util.Jsonw.t) list
 (** The report's [transport] extra section: socket counters (connects,
     bounded-backoff retries, deadline timeouts, frame/byte totals) plus
-    spawn/kill/respawn totals, heartbeat-probe count, the configured
+    spawn/kill/respawn totals, the configured
     [io_timeout_s]/[watchdog_s] deadlines, and wall-clock time. *)
 
 val run : config -> result

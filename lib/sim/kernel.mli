@@ -48,7 +48,10 @@ type 'm config = {
   trace : Trace.t option;
   obs : Obs.sink option;
       (** structured event sink, fed the same events as [trace] as they
-          happen (see {!Obs}); independent of [trace] *)
+          happen (see {!Obs}); independent of [trace]. The kernel reads
+          nothing back, so a sink may drive effects outside the run (the
+          real-process fleet kills a node on its [Crash] and shuts it down
+          on its [Terminate]) but never changes the run. *)
   show : 'm -> string;  (** payload printer for traces (unused without) *)
   spans : Obs.sink option;
       (** timing sink, fed only [Obs.Span_begin]/[Span_end] pairs around

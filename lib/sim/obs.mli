@@ -13,7 +13,10 @@
     Events are emitted exactly where {!Metrics} records, so a {!Timeline}
     folded from the stream reproduces the run's metric totals — a property
     the test suite checks (sync and async). Emission never consults the
-    adversary PRNG: observing a run cannot change it. *)
+    adversary PRNG: observing a run cannot change it. A sink may still act
+    outside the run — the real-process fleet SIGKILLs a node on its
+    [Crash] event and shuts it down on its [Terminate] — since the
+    executor reads nothing back from it. *)
 
 open Types
 

@@ -50,7 +50,6 @@ let gen_frame =
             (triple gen_small (list_size (0 -- 6) gen_send)
                (list_size (0 -- 6) gen_small))
             (triple bool gen_wakeup gen_small));
-      Gen.map (fun tick -> F.Heartbeat { tick }) gen_small;
       Gen.pure F.Shutdown;
     ]
 
@@ -111,7 +110,7 @@ let test_rejections () =
   expect_error "wrong hello version" (mutate h 9 '\xee');
   expect_error "bad hello magic" (mutate h 5 'X');
   expect_error "unknown tag" (mutate h 4 '\x7f');
-  (match F.decode (mutate h 9 '\x02') with
+  (match F.decode (mutate h 9 (Char.chr (F.version + 1))) with
   | Error e ->
       let mentions_version =
         let needle = "version" in
@@ -321,8 +320,8 @@ let test_transport_loopback () =
       let srv = Net.Transport.listen addr in
       let client = Net.Transport.connect ~stats addr in
       let peer = Net.Transport.accept ~stats srv in
-      Net.Transport.send_frame ~stats client (F.Heartbeat { tick = 42 });
-      Alcotest.(check frame_t) "server receives" (F.Heartbeat { tick = 42 })
+      Net.Transport.send_frame ~stats client (F.Welcome { round = 42 });
+      Alcotest.(check frame_t) "server receives" (F.Welcome { round = 42 })
         (Net.Transport.recv_frame ~stats peer);
       Net.Transport.send_frame ~stats peer hello;
       Alcotest.(check frame_t) "client receives" hello
@@ -475,6 +474,129 @@ let test_chaos_sever_window () =
   Alcotest.(check bool) "reverse direction up" false (cut ~src:1 ~dst:0 15)
 
 (* ------------------------------------------------------------------ *)
+(* The lockstep fleet: real dhw_node processes driven by Kernel.run *)
+
+module Orch = Dhw_net.Orchestrator
+module Sch = Simkit.Campaign.Schedule
+module Metrics = Simkit.Metrics
+
+let built_exe rel =
+  match List.find_opt Sys.file_exists [ rel; "_build/default/test/" ^ rel ] with
+  | Some p -> if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p
+  | None -> Alcotest.failf "%s not found (run under dune)" rel
+
+let fleet_run ?(io_timeout_s = 10.) ~node_exe ~protocol ~n ~t ~max_rounds fault =
+  with_tmpdir (fun dir ->
+      Orch.run
+        (Orch.config ~fault ~max_rounds ~io_timeout_s ~watchdog_s:60. ~log_dir:dir
+           ~node_exe
+           ~addr:(Net.Transport.Unix_sock (Filename.concat dir "ctl.sock"))
+           ~protocol ~n ~t ~ckpt_dir:(Filename.concat dir "ckpt") ()))
+
+let entry victim at mode = { Sch.victim; at; mode }
+
+(* Seeded schedules for every protocol the fleet speaks: crash-only storms
+   for a and b, crash+restart storms for a+rec and b+rec, and silent
+   crashes of pids asleep at their crash round (pid 2 waits for its
+   takeover deadline, and is mailed only by whoever is active). *)
+let fleet_cases =
+  let g = Dhw_util.Prng.create 39L (* every sample has entries *) in
+  let sampled protocol ~n ~t =
+    let sched =
+      if String.length protocol > 1 then
+        Simkit.Campaign.sample_recovery g ~t ~window:20 ~restart_gap:6
+      else Simkit.Campaign.sample g ~t ~window:20
+    in
+    (protocol, n, t, sched)
+  in
+  [
+    sampled "a" ~n:16 ~t:4;
+    sampled "b" ~n:16 ~t:4;
+    sampled "a+rec" ~n:12 ~t:3;
+    sampled "b+rec" ~n:12 ~t:3;
+    sampled "a+rec" ~n:24 ~t:4;
+    sampled "b+rec" ~n:20 ~t:4;
+    ("a", 16, 4, Sch.make [ entry 2 1 Sch.Silent; entry 0 6 Sch.Silent ]);
+    ( "a+rec", 16, 4,
+      Sch.make
+        [ entry 2 1 Sch.Silent; entry 2 5 Sch.Restart;
+          entry 0 3 (Sch.Acting { keep_work = false; delivery = Simkit.Fault.Prefix 0 }) ] );
+  ]
+
+let test_fleet_matches_kernel () =
+  let node_exe = built_exe "../bin/dhw_node.exe" in
+  let max_rounds = 2000 in
+  List.iteri
+    (fun i (protocol, n, t, sched) ->
+      let name =
+        Format.asprintf "case %d (%s n=%d t=%d: %a)" i protocol n t Sch.pp sched
+      in
+      let spec = Doall.Spec.make ~n ~t in
+      let recovery which =
+        Doall.Fuzz.run_recovery_schedule ~max_rounds ~rejoin_rounds:3 spec which sched
+      in
+      let plain proto = Doall.Fuzz.run_schedule ~max_rounds spec proto sched in
+      let sim =
+        match protocol with
+        | "a+rec" -> recovery Doall.Recovery.A
+        | "b+rec" -> recovery Doall.Recovery.B
+        | "a" -> plain Doall.Protocol_a.protocol
+        | _ -> plain Doall.Protocol_b.protocol
+      in
+      let real =
+        fleet_run ~node_exe ~protocol ~n ~t ~max_rounds (Sch.to_fault sched)
+      in
+      let sr = sim.Doall.Fuzz.report in
+      Alcotest.(check string) (name ^ ": stop") "completed"
+        (Orch.stop_to_string real.Orch.stop);
+      Alcotest.(check bool) (name ^ ": outcome") true
+        (Orch.to_run_outcome real.Orch.stop = sr.Doall.Runner.outcome);
+      List.iter
+        (fun (what, f) ->
+          Alcotest.(check int) (name ^ ": " ^ what) (f sr.Doall.Runner.metrics)
+            (f real.Orch.metrics))
+        [
+          ("work", Metrics.work); ("messages", Metrics.messages);
+          ("rounds", Metrics.rounds); ("persists", Metrics.persists);
+          ("restarts", Metrics.restarts); ("crashes", Metrics.crashes);
+        ];
+      let statuses a = Array.to_list (Array.map Simkit.Types.status_to_string a) in
+      Alcotest.(check (list string)) (name ^ ": statuses")
+        (statuses sr.Doall.Runner.statuses) (statuses real.Orch.statuses);
+      let events tr =
+        List.map (Format.asprintf "%a" Simkit.Trace.pp_event) (Simkit.Trace.events tr)
+      in
+      Alcotest.(check (list string)) (name ^ ": trace")
+        (events sim.Doall.Fuzz.trace) (events real.Orch.trace))
+    fleet_cases
+
+(* A node that exits outside the fault plan ends the run as a node
+   failure, promptly, whether or not anyone has mail for it. *)
+let test_node_death ~dead_pid ~expect_reap () =
+  let node_exe = built_exe "fake_node.exe" in
+  let io_timeout_s = 5. in
+  Unix.putenv "DHW_FAKE_DEAD_PID" (string_of_int dead_pid);
+  let res =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "DHW_FAKE_DEAD_PID" "")
+      (fun () ->
+        fleet_run ~io_timeout_s ~node_exe ~protocol:"a" ~n:12 ~t:2 ~max_rounds:2000
+          Simkit.Fault.none)
+  in
+  (match res.Orch.stop with
+  | Orch.Node_failure (_, msg) ->
+      let reaped =
+        msg = Printf.sprintf "pid %d exited outside the fault plan" dead_pid
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "found by %s (%s)" (if expect_reap then "the reap" else "EOF") msg)
+        expect_reap reaped
+  | stop -> Alcotest.failf "expected a node failure, got %s" (Orch.stop_to_string stop));
+  Alcotest.(check bool)
+    (Printf.sprintf "within the io timeout (%.2fs)" res.Orch.wall_s)
+    true (res.Orch.wall_s < io_timeout_s)
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -514,4 +636,10 @@ let suite =
       test_chaos_content_keyed;
     Alcotest.test_case "chaos: severs are directed deterministic windows"
       `Quick test_chaos_sever_window;
+    Alcotest.test_case "orchestrator: fleet runs match the kernel on seeded schedules"
+      `Quick test_fleet_matches_kernel;
+    Alcotest.test_case "orchestrator: an unmailed node's death is reaped"
+      `Quick (test_node_death ~dead_pid:0 ~expect_reap:true);
+    Alcotest.test_case "orchestrator: a mailed node's death is a closed socket"
+      `Quick (test_node_death ~dead_pid:1 ~expect_reap:false);
   ]
