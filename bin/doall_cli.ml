@@ -1,10 +1,20 @@
 (* Command-line front-end: run any protocol of the paper on any instance
-   under a configurable fault schedule and print the cost measures.
+   under a configurable fault schedule and print the cost measures; fuzz
+   it with any adversary and replay what the fuzzer finds.
 
      dune exec bin/doall_cli.exe -- run -p A -n 100 -t 16 --crash 0@5 --trace 40
      dune exec bin/doall_cli.exe -- run -p D -n 1000 -t 32 --random 31 --window 40
      dune exec bin/doall_cli.exe -- ba -n 64 -t 8 --value 7 --protocol C
-     dune exec bin/doall_cli.exe -- async -n 100 -t 16 --crash 3@9 *)
+     dune exec bin/doall_cli.exe -- async -n 100 -t 16 --crash 3@9
+     dune exec bin/doall_cli.exe -- fuzz -p a+rec -n 40 -t 8 --executions 500
+     dune exec bin/doall_cli.exe -- fuzz -p a --byz 3 -n 60 -t 12
+     dune exec bin/doall_cli.exe -- replay corpus/a-seed1-0.sched
+     dune exec bin/doall_cli.exe -- replay --real test/corpus/net-seed.sched
+
+   fuzz -p picks the adversary: crash (a, b, c, ..., checkpoint[:k]),
+   crash-recovery (a+rec, b+rec), Byzantine (a+val, or a with --byz),
+   async link (async-a) or async Byzantine (async-a+val, or async-a with
+   --byz). replay picks it from the schedule file. *)
 
 open Cmdliner
 module D = Doall
@@ -548,9 +558,30 @@ let bootstrap_cmd =
     Term.(const run $ n_arg $ t_arg $ proto_arg $ crashes_arg)
 
 (* ------------------------------------------------------------------ *)
-(* Adversary campaigns: fuzz + replay *)
+(* Adversary campaigns: one [fuzz] and one [replay] over five stacks.
+
+   A stack is everything one adversary needs: its campaign runner, the
+   oracle stack a replay faces, how a run and a failure print, and the
+   schedule format of its corpus files. [fuzz] picks the stack from the
+   protocol name (and --byz), [replay] from the schedule file, both
+   through [stack_of_name]. *)
 
 module Campaign = Simkit.Campaign
+module AF = Asim.Async_fuzz
+
+(* Usage and input errors exit 2, distinct from 1 = counterexample found. *)
+let usage fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 2) fmt
+
+let spec_of ~n ~t =
+  try D.Spec.make ~n ~t with Invalid_argument m -> usage "%s" m
+
+(* [tracked flag arg] is [arg]'s value plus [[flag]] when the command line
+   gave it, so a dispatching subcommand can reject options that do not
+   apply to the stack it picked. *)
+let tracked flag arg =
+  Term.(
+    const (fun (v, used) -> (v, if used = [] then [] else [ flag ]))
+    $ with_used_args arg)
 
 (* Campaigns always run through the parallel engine here, so --jobs 1 and
    --jobs 8 print byte-identical stats and write byte-identical corpora;
@@ -559,702 +590,341 @@ let jobs_arg =
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N"
        ~doc:"Worker domains executing campaign schedules (default 0 = one per core). Campaign results are byte-identical for every value; only wall-clock time changes.")
 
-let resolve_jobs jobs =
-  if jobs < 0 then begin
-    prerr_endline "--jobs must be >= 0 (0 = one worker per core)";
-    exit 2
-  end
-  else if jobs = 0 then Simkit.Pool.default_jobs ()
-  else jobs
+let work_cap_arg =
+  Arg.(value & opt (some int) None & info [ "work-cap" ] ~docv:"UNITS"
+       ~doc:"Extra oracle asserting total work <= $(i,UNITS). Setting it below the theorem bound deliberately fails the campaign - the hook for demonstrating shrinking and replay; pass the same cap to $(b,replay). Not on the Byzantine stacks.")
 
-(* Campaign misconfiguration is exit code 2 (like cmdliner usage errors and
-   unknown protocols), distinct from exit 1 = counterexample found. *)
-let check_campaign_config ~executions ~window =
-  if executions < 0 then begin
-    prerr_endline "--executions must be >= 0";
-    exit 2
-  end;
-  match window with
-  | Some w when w < 0 ->
-      prerr_endline "--window must be >= 0";
-      exit 2
-  | _ -> ()
+(* The two schedule file formats. *)
+type 's format = {
+  print : 's -> string;
+  pp : Format.formatter -> 's -> unit;
+  cost : 's -> int;
+}
 
-let pp_failure ppf (i, (f : Campaign.Schedule.t Campaign.failure)) =
-  Format.fprintf ppf "violation #%d: oracle=%s (%s)@." i f.Campaign.oracle
-    f.Campaign.detail;
-  Format.fprintf ppf "  schedule: %a@." Campaign.Schedule.pp f.Campaign.schedule;
-  Format.fprintf ppf "  shrunk (%d executions): %a (%s)@."
-    f.Campaign.shrink_executions Campaign.Schedule.pp f.Campaign.shrunk
-    f.Campaign.shrunk_detail
+let sync_format =
+  { print = Campaign.Schedule.print; pp = Campaign.Schedule.pp;
+    cost = Campaign.Schedule.cost }
 
-let report_subject spec proto sched =
-  (* one more run of the schedule, printed in the replay format so fuzz
-     failures and their replays can be compared verbatim *)
-  let subject = D.Fuzz.run_schedule spec proto sched in
-  Format.printf "  %a@." D.Runner.pp subject.D.Fuzz.report
+let async_format =
+  { print = Campaign.Async.print; pp = Campaign.Async.pp;
+    cost = Campaign.Async.cost }
 
-(* Per-failure machine-readable companion to the .sched corpus entry: the
-   oracle verdict plus both the original and the shrunk schedule texts. *)
-let write_failure_report ~path ~protocol ~seed ~index ~print
-    (f : _ Campaign.failure) =
-  let oc = open_out path in
-  output_string oc
-    (J.pretty
-       (J.Obj
-          [
-            ("schema", J.Str "dhw-fuzz-failure/v1");
-            ("protocol", J.Str protocol);
-            ("seed", J.Int seed);
-            ("index", J.Int index);
-            ("oracle", J.Str f.Campaign.oracle);
-            ("detail", J.Str f.Campaign.detail);
-            ("schedule", J.Str (print f.Campaign.schedule));
-            ("shrunk", J.Str (print f.Campaign.shrunk));
-            ("shrunk_detail", J.Str f.Campaign.shrunk_detail);
-            ("shrink_executions", J.Int f.Campaign.shrink_executions);
-          ]));
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "  written: %s@." path
+(* The campaign options of [fuzz], defaults not yet applied. *)
+type fuzz_opts = {
+  seed : int;
+  executions : int option;
+  exhaustive : bool;
+  window : int option;
+  restart_gap : int option;
+  byz : int option;
+  max_failures : int;
+  jobs : int;
+}
 
-let write_corpus ~corpus ~protocol ~seed failures =
-  if failures <> [] then begin
-    if not (Sys.file_exists corpus) then Sys.mkdir corpus 0o755;
-    List.iteri
-      (fun i (f : Campaign.Schedule.t Campaign.failure) ->
-        let base =
-          Filename.concat corpus
-            (Printf.sprintf "%s-seed%d-%d" protocol seed i)
-        in
-        let path = base ^ ".sched" in
-        let oc = open_out path in
-        output_string oc (Campaign.Schedule.print f.Campaign.shrunk);
-        close_out oc;
-        Format.printf "  written: %s@." path;
-        write_failure_report ~path:(base ^ ".report.json") ~protocol ~seed
-          ~index:i ~print:Campaign.Schedule.print f)
-      failures
-  end
+type ('s, 'r) stack = {
+  name : string;  (* meta protocol of its schedules, corpus file prefix *)
+  kind : string;  (* output prefix: "", "recovery ", "byz " or "async " *)
+  replay_head : string;  (* the replay line's text before " n=" *)
+  format : 's format;
+  costed : bool;  (* shrinks to the cheapest break; failures print costs *)
+  flags : string list;  (* the adversary options it takes *)
+  campaign :
+    fuzz_opts -> extra:'r Campaign.oracle list -> D.Spec.t ->
+    string * 's Campaign.stats;  (* campaign line suffix, stats *)
+  run : D.Spec.t -> 's -> 'r;
+  oracles : D.Spec.t -> 's -> 'r Campaign.oracle list;
+  work_cap : int -> 'r Campaign.oracle;
+  pp_subject : Format.formatter -> 'r -> unit;
+}
 
-let fuzz_cmd =
-  let proto_arg =
-    Arg.(value & opt string "A" & info [ "p"; "protocol" ]
-         ~doc:"Protocol (A, B, C, C-chunked, C-naive, D, D-coord, trivial, checkpoint[:k]).")
-  in
-  let executions_arg =
-    Arg.(value & opt int 200 & info [ "executions" ]
-         ~doc:"Random schedules to run (ignored with --exhaustive).")
-  in
-  let exhaustive_arg =
-    Arg.(value & flag & info [ "exhaustive" ]
-         ~doc:"Enumerate every (victim set x crash round grid x mode) schedule instead of sampling; keep -t tiny.")
-  in
-  let window_opt_arg =
-    Arg.(value & opt (some int) None & info [ "window" ] ~docv:"ROUNDS"
-         ~doc:"Crash-round window (default: twice the failure-free running time).")
-  in
-  let corpus_arg =
-    Arg.(value & opt string "corpus" & info [ "corpus" ] ~docv:"DIR"
-         ~doc:"Directory where shrunk failing schedules are written.")
-  in
-  let work_cap_arg =
-    Arg.(value & opt (some int) None & info [ "work-cap" ] ~docv:"UNITS"
-         ~doc:"Extra oracle asserting total work <= $(i,UNITS). Setting it below the theorem bound deliberately fails the campaign - the hook for demonstrating shrinking and replay.")
-  in
-  let max_failures_arg =
-    Arg.(value & opt int 3 & info [ "max-failures" ]
-         ~doc:"Stop after this many (shrunk) violations.")
-  in
-  let run proto n t seed executions exhaustive window corpus work_cap
-      max_failures jobs =
-    match protocol_of_name proto with
-    | Error (`Msg m) -> prerr_endline m; exit 2
-    | Ok p ->
-        check_campaign_config ~executions ~window;
-        let spec = D.Spec.make ~n ~t in
-        let name = String.lowercase_ascii proto in
-        let jobs = resolve_jobs jobs in
-        let extra =
-          match work_cap with
-          | None -> []
-          | Some cap -> [ D.Fuzz.work_cap cap ]
-        in
-        let stats =
-          if exhaustive then
-            D.Fuzz.exhaustive_campaign ~jobs ?window ~extra ~max_failures spec p
-          else
-            D.Fuzz.campaign ~jobs ~seed:(Int64.of_int seed) ~executions ?window
-              ~extra ~max_failures spec p
-        in
-        Format.printf "campaign: protocol=%s n=%d t=%d seed=%d %s@." name n t
-          seed (if exhaustive then "exhaustive" else "sampled");
-        Format.printf "%a@." Campaign.pp_stats stats;
-        List.iteri
-          (fun i f ->
-            Format.printf "%a" pp_failure (i, f);
-            report_subject spec p f.Campaign.shrunk)
-          stats.Campaign.failures;
-        write_corpus ~corpus ~protocol:name ~seed stats.Campaign.failures;
-        if stats.Campaign.failures <> [] then exit 1
-  in
-  Cmd.v
-    (Cmd.info "fuzz"
-       ~doc:"Adversary campaign: fuzz a protocol with partial-delivery crash schedules, shrinking any violation")
-    Term.(
-      const run $ proto_arg $ n_arg $ t_arg $ seed_arg $ executions_arg
-      $ exhaustive_arg $ window_opt_arg $ corpus_arg $ work_cap_arg
-      $ max_failures_arg $ jobs_arg)
+type stacked =
+  | Sync of (Campaign.Schedule.t, D.Fuzz.subject) stack
+  | Async of (Campaign.Async.t, AF.subject) stack
 
-let replay_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
-         ~doc:"Schedule file produced by fuzz (or hand-written).")
-  in
-  let work_cap_arg =
-    Arg.(value & opt (some int) None & info [ "work-cap" ] ~docv:"UNITS"
-         ~doc:"Re-add the extra work <= $(i,UNITS) oracle used when the schedule was found.")
-  in
-  let run file work_cap =
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    match Campaign.Schedule.parse text with
-    | Error msg -> prerr_endline ("parse error: " ^ msg); exit 2
-    | Ok sched ->
-        let meta key =
-          match Campaign.Schedule.meta sched key with
-          | Some v -> v
-          | None ->
-              prerr_endline ("schedule file lacks meta " ^ key);
-              exit 2
-        in
-        let name = meta "protocol" in
-        (match protocol_of_name name with
-        | Error (`Msg m) -> prerr_endline m; exit 2
-        | Ok p ->
-            let n = int_of_string (meta "n") and t = int_of_string (meta "t") in
-            let spec = D.Spec.make ~n ~t in
-            let subject = D.Fuzz.run_schedule spec p sched in
-            let extra =
-              match work_cap with
-              | None -> []
-              | Some cap -> [ D.Fuzz.work_cap cap ]
-            in
-            let oracles = D.Fuzz.oracles spec ~protocol:name @ extra in
-            Format.printf "replay: protocol=%s n=%d t=%d schedule: %a@." name n
-              t Campaign.Schedule.pp sched;
-            Format.printf "  %a@." D.Runner.pp subject.D.Fuzz.report;
-            (match Campaign.first_failure oracles subject with
-            | None -> Format.printf "verdict: all oracles pass@."
-            | Some (oracle, detail) ->
-                Format.printf "verdict: oracle=%s FAILS (%s)@." oracle detail;
-                exit 1))
-  in
-  Cmd.v
-    (Cmd.info "replay"
-       ~doc:"Re-run a serialized campaign schedule and re-judge it with the same oracle stack")
-    Term.(const run $ file_arg $ work_cap_arg)
+let sync_subject ppf (s : D.Fuzz.subject) = D.Runner.pp ppf s.D.Fuzz.report
 
-(* ------------------------------------------------------------------ *)
-(* Crash–recovery campaigns: recovery-fuzz + recovery-replay *)
+let async_subject ppf (s : AF.subject) =
+  Format.fprintf ppf "%a outcome=%a" Simkit.Metrics.pp_summary
+    s.AF.result.Asim.Event_sim.metrics Asim.Event_sim.pp_outcome
+    s.AF.result.Asim.Event_sim.outcome
 
-let report_recovery_subject spec which sched =
-  let subject = D.Fuzz.run_recovery_schedule spec which sched in
-  Format.printf "  %a@." D.Runner.pp subject.D.Fuzz.report
-
-let recovery_fuzz_cmd =
-  let proto_arg =
-    Arg.(value & opt string "A" & info [ "p"; "protocol" ]
-         ~doc:"Protocol to harden and fuzz (A or B; a+rec/b+rec accepted).")
-  in
-  let executions_arg =
-    Arg.(value & opt int 200 & info [ "executions" ]
-         ~doc:"Random crash+restart schedules to run.")
-  in
-  let window_opt_arg =
-    Arg.(value & opt (some int) None & info [ "window" ] ~docv:"ROUNDS"
-         ~doc:"Crash-round window (default: twice the failure-free recovery running time).")
-  in
-  let restart_gap_arg =
-    Arg.(value & opt int 6 & info [ "restart-gap" ] ~docv:"ROUNDS"
-         ~doc:"Maximum downtime before a sampled restart.")
-  in
-  let corpus_arg =
-    Arg.(value & opt string "corpus" & info [ "corpus" ] ~docv:"DIR"
-         ~doc:"Directory where shrunk failing schedules are written.")
-  in
-  let work_cap_arg =
-    Arg.(value & opt (some int) None & info [ "work-cap" ] ~docv:"UNITS"
-         ~doc:"Extra oracle asserting total work <= $(i,UNITS). Setting it below the theorem bound deliberately fails the campaign - the hook for demonstrating shrinking and replay.")
-  in
-  let max_failures_arg =
-    Arg.(value & opt int 3 & info [ "max-failures" ]
-         ~doc:"Stop after this many (shrunk) violations.")
-  in
-  let run proto n t seed executions window restart_gap corpus work_cap
-      max_failures jobs =
-    match D.Fuzz.recovery_which_of_name proto with
-    | None ->
-        prerr_endline
-          ("unknown recovery protocol: " ^ proto ^ " (A, B, a+rec, b+rec)");
-        exit 2
-    | Some which ->
-        check_campaign_config ~executions ~window;
-        let spec = D.Spec.make ~n ~t in
-        let name = D.Fuzz.recovery_protocol_name which in
-        let jobs = resolve_jobs jobs in
-        let extra =
-          match work_cap with
-          | None -> []
-          | Some cap -> [ D.Fuzz.work_cap cap ]
-        in
-        let stats =
-          D.Fuzz.recovery_campaign ~jobs ~seed:(Int64.of_int seed) ~executions
-            ?window ~restart_gap ~extra ~max_failures spec which
-        in
-        Format.printf
-          "recovery campaign: protocol=%s n=%d t=%d seed=%d restart-gap=%d@."
-          name n t seed restart_gap;
-        Format.printf "%a@." Campaign.pp_stats stats;
-        List.iteri
-          (fun i f ->
-            Format.printf "%a" pp_failure (i, f);
-            report_recovery_subject spec which f.Campaign.shrunk)
-          stats.Campaign.failures;
-        write_corpus ~corpus ~protocol:name ~seed stats.Campaign.failures;
-        if stats.Campaign.failures <> [] then exit 1
-  in
-  Cmd.v
-    (Cmd.info "recovery-fuzz"
-       ~doc:"Crash+restart storm campaign against a recovery-hardened protocol, shrinking any violation")
-    Term.(
-      const run $ proto_arg $ n_arg $ t_arg $ seed_arg $ executions_arg
-      $ window_opt_arg $ restart_gap_arg $ corpus_arg $ work_cap_arg
-      $ max_failures_arg $ jobs_arg)
-
-let recovery_replay_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
-         ~doc:"Schedule file produced by recovery-fuzz (or hand-written; may contain restart entries).")
-  in
-  let work_cap_arg =
-    Arg.(value & opt (some int) None & info [ "work-cap" ] ~docv:"UNITS"
-         ~doc:"Extra oracle asserting total work <= $(i,UNITS); pass the same cap that produced the counterexample.")
-  in
-  let run file work_cap =
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    match Campaign.Schedule.parse text with
-    | Error msg -> prerr_endline ("parse error: " ^ msg); exit 2
-    | Ok sched ->
-        let meta key =
-          match Campaign.Schedule.meta sched key with
-          | Some v -> v
-          | None ->
-              prerr_endline ("schedule file lacks meta " ^ key);
-              exit 2
-        in
-        let name = meta "protocol" in
-        (match D.Fuzz.recovery_which_of_name name with
-        | None ->
-            prerr_endline ("not a recovery protocol: " ^ name);
-            exit 2
-        | Some which ->
-            let n = int_of_string (meta "n") and t = int_of_string (meta "t") in
-            let spec = D.Spec.make ~n ~t in
-            let subject = D.Fuzz.run_recovery_schedule spec which sched in
-            (* judged with the schedule's own horizon: its latest entry round *)
-            let horizon =
-              List.fold_left
-                (fun acc (e : Campaign.Schedule.entry) -> max acc e.at)
-                0 sched.Campaign.Schedule.entries
-            in
-            let oracles =
-              D.Fuzz.recovery_oracles spec which ~horizon
-              @
-              match work_cap with
-              | None -> []
-              | Some cap -> [ D.Fuzz.work_cap cap ]
-            in
-            Format.printf "recovery replay: protocol=%s n=%d t=%d schedule: %a@."
-              (D.Fuzz.recovery_protocol_name which)
-              n t Campaign.Schedule.pp sched;
-            Format.printf "  %a@." D.Runner.pp subject.D.Fuzz.report;
-            (match Campaign.first_failure oracles subject with
-            | None -> Format.printf "verdict: all oracles pass@."
-            | Some (oracle, detail) ->
-                Format.printf "verdict: oracle=%s FAILS (%s)@." oracle detail;
-                exit 1))
-  in
-  Cmd.v
-    (Cmd.info "recovery-replay"
-       ~doc:"Re-run a serialized crash+restart schedule and re-judge it with the recovery oracle stack")
-    Term.(const run $ file_arg $ work_cap_arg)
-
-(* ------------------------------------------------------------------ *)
-(* Corruption / Byzantine campaigns: byz-fuzz + byz-replay *)
-
-module AF = Asim.Async_fuzz
-
-let write_async_corpus ~corpus ~protocol ~seed failures =
-  if failures <> [] then begin
-    if not (Sys.file_exists corpus) then Sys.mkdir corpus 0o755;
-    List.iteri
-      (fun i (f : Campaign.Async.t Campaign.failure) ->
-        let base =
-          Filename.concat corpus
-            (Printf.sprintf "%s-seed%d-%d" protocol seed i)
-        in
-        let path = base ^ ".sched" in
-        let oc = open_out path in
-        output_string oc (Campaign.Async.print f.Campaign.shrunk);
-        close_out oc;
-        Format.printf "  written: %s@." path;
-        write_failure_report ~path:(base ^ ".report.json") ~protocol ~seed
-          ~index:i ~print:Campaign.Async.print f)
-      failures
-  end
-
-let pp_byz_failure ppf (i, (f : Campaign.Schedule.t Campaign.failure)) =
-  Format.fprintf ppf "violation #%d: oracle=%s (%s)@." i f.Campaign.oracle
-    f.Campaign.detail;
-  Format.fprintf ppf "  schedule (cost %d): %a@."
-    (Campaign.Schedule.cost f.Campaign.schedule)
-    Campaign.Schedule.pp f.Campaign.schedule;
-  Format.fprintf ppf "  cheapest break (cost %d, %d executions): %a (%s)@."
-    (Campaign.Schedule.cost f.Campaign.shrunk)
-    f.Campaign.shrink_executions Campaign.Schedule.pp f.Campaign.shrunk
-    f.Campaign.shrunk_detail
-
-let byz_horizon sched =
+(* The latest entry round: the horizon recovery and byz runs are judged
+   and capped with. *)
+let horizon (sched : Campaign.Schedule.t) =
   List.fold_left
     (fun acc (e : Campaign.Schedule.entry) -> max acc e.at)
     0 sched.Campaign.Schedule.entries
 
-let report_byz_subject spec hardening sched =
-  let max_rounds = D.Fuzz.byz_max_rounds spec ~window:(byz_horizon sched) in
-  let subject = D.Fuzz.run_byz_schedule ~max_rounds spec hardening sched in
-  Format.printf "  %a@." D.Runner.pp subject.D.Fuzz.report
+let byz_suffix o spec =
+  let t = D.Spec.processes spec in
+  match o.byz with
+  | Some b when b < 0 || b >= t ->
+      usage "--byz must satisfy 0 <= B < t (got %d, t = %d)" b t
+  | Some b -> Printf.sprintf " byz=%d" b
+  | None -> Printf.sprintf " byz=%d" (min (max 0 ((t / 3) - 1)) (t - 1))
 
-let pp_async_byz_failure ppf (i, (f : Campaign.Async.t Campaign.failure)) =
+let crash_stack name p =
+  {
+    name; kind = ""; replay_head = "replay: protocol=" ^ name;
+    format = sync_format; costed = false;
+    flags = [ "--exhaustive"; "--work-cap" ];
+    campaign =
+      (fun o ~extra spec ->
+        if o.exhaustive then
+          ( " exhaustive",
+            D.Fuzz.exhaustive_campaign ~jobs:o.jobs ?window:o.window ~extra
+              ~max_failures:o.max_failures spec p )
+        else
+          ( " sampled",
+            D.Fuzz.campaign ~jobs:o.jobs ~seed:(Int64.of_int o.seed)
+              ?executions:o.executions ?window:o.window ~extra
+              ~max_failures:o.max_failures spec p ));
+    run = (fun spec sched -> D.Fuzz.run_schedule spec p sched);
+    oracles = (fun spec _ -> D.Fuzz.oracles spec ~protocol:name);
+    work_cap = D.Fuzz.work_cap; pp_subject = sync_subject;
+  }
+
+let recovery_stack which =
+  let name = D.Fuzz.recovery_protocol_name which in
+  {
+    name; kind = "recovery "; replay_head = "recovery replay: protocol=" ^ name;
+    format = sync_format; costed = false;
+    flags = [ "--restart-gap"; "--work-cap" ];
+    campaign =
+      (fun o ~extra spec ->
+        let restart_gap = Option.value o.restart_gap ~default:6 in
+        ( Printf.sprintf " restart-gap=%d" restart_gap,
+          D.Fuzz.recovery_campaign ~jobs:o.jobs ~seed:(Int64.of_int o.seed)
+            ?executions:o.executions ?window:o.window ~restart_gap ~extra
+            ~max_failures:o.max_failures spec which ));
+    run = (fun spec sched -> D.Fuzz.run_recovery_schedule spec which sched);
+    oracles =
+      (fun spec sched ->
+        D.Fuzz.recovery_oracles spec which ~horizon:(horizon sched));
+    work_cap = D.Fuzz.work_cap; pp_subject = sync_subject;
+  }
+
+let byz_stack hardening =
+  let name = D.Fuzz.byz_protocol_name hardening in
+  {
+    name; kind = "byz "; replay_head = "byz replay: protocol=" ^ name;
+    format = sync_format; costed = true; flags = [ "--byz" ];
+    campaign =
+      (fun o ~extra spec ->
+        let suffix = byz_suffix o spec in
+        ( suffix,
+          D.Fuzz.byz_campaign ~jobs:o.jobs ~seed:(Int64.of_int o.seed)
+            ?executions:o.executions ?window:o.window ?byz:o.byz ~extra
+            ~max_failures:o.max_failures spec hardening ));
+    run =
+      (fun spec sched ->
+        let max_rounds = D.Fuzz.byz_max_rounds spec ~window:(horizon sched) in
+        D.Fuzz.run_byz_schedule ~max_rounds spec hardening sched);
+    oracles = (fun spec _ -> D.Fuzz.byz_oracles spec ~hardening);
+    work_cap = D.Fuzz.work_cap; pp_subject = sync_subject;
+  }
+
+let async_stack =
+  {
+    name = "async-a"; kind = "async "; replay_head = "async replay:";
+    format = async_format; costed = false; flags = [ "--work-cap" ];
+    campaign =
+      (fun o ~extra spec ->
+        ( "",
+          AF.campaign ~jobs:o.jobs ~seed:(Int64.of_int o.seed)
+            ?executions:o.executions ?window:o.window ~extra
+            ~max_failures:o.max_failures spec ));
+    run = (fun spec sched -> AF.run_schedule spec sched);
+    oracles = (fun _ _ -> AF.oracles ());
+    work_cap = AF.work_cap; pp_subject = async_subject;
+  }
+
+let async_byz_stack hardening =
+  let name = AF.byz_protocol_name hardening in
+  {
+    name; kind = "byz "; replay_head = "byz replay: protocol=" ^ name;
+    format = async_format; costed = true; flags = [ "--byz" ];
+    campaign =
+      (fun o ~extra spec ->
+        let suffix = byz_suffix o spec in
+        ( suffix,
+          AF.byz_campaign ~jobs:o.jobs ~seed:(Int64.of_int o.seed)
+            ?executions:o.executions ?window:o.window ?byz:o.byz ~extra
+            ~max_failures:o.max_failures spec hardening ));
+    run = (fun spec sched -> AF.run_byz_schedule spec hardening sched);
+    oracles = (fun spec _ -> AF.byz_oracles spec ~hardening);
+    work_cap = AF.work_cap; pp_subject = async_subject;
+  }
+
+(* The dispatch table. [byz] is --byz for fuzz and "the schedule has
+   corrupt/byz entries" for replay. Names match exactly: [-p a] is the
+   crash stack, never the recovery or Byzantine one. *)
+let stack_of_name ~byz name =
+  match (String.lowercase_ascii name, byz) with
+  | "a+rec", false -> Sync (recovery_stack D.Recovery.A)
+  | "b+rec", false -> Sync (recovery_stack D.Recovery.B)
+  | "a+val", _ -> Sync (byz_stack D.Fuzz.Hardened)
+  | "a", true -> Sync (byz_stack D.Fuzz.Unhardened)
+  | "async-a", false -> Async async_stack
+  | "async-a", true -> Async (async_byz_stack D.Fuzz.Unhardened)
+  | "async-a+val", _ -> Async (async_byz_stack D.Fuzz.Hardened)
+  | _, true ->
+      usage
+        "protocol %s has no Byzantine stack (a, a+val, async-a, async-a+val)"
+        name
+  | _, false -> (
+      match protocol_of_name name with
+      | Ok p -> Sync (crash_stack name p)
+      | Error (`Msg m) -> usage "%s" m)
+
+let reject_flags ~cmd st used =
+  List.iter
+    (fun flag ->
+      if not (List.mem flag st.flags) then
+        usage "%s: %s does not apply to protocol %s" cmd flag st.name)
+    used
+
+let pp_failure st ppf (i, (f : _ Campaign.failure)) =
+  let pp = st.format.pp and cost = st.format.cost in
   Format.fprintf ppf "violation #%d: oracle=%s (%s)@." i f.Campaign.oracle
     f.Campaign.detail;
-  Format.fprintf ppf "  schedule (cost %d): %a@."
-    (Campaign.Async.cost f.Campaign.schedule)
-    Campaign.Async.pp f.Campaign.schedule;
-  Format.fprintf ppf "  cheapest break (cost %d, %d executions): %a (%s)@."
-    (Campaign.Async.cost f.Campaign.shrunk)
-    f.Campaign.shrink_executions Campaign.Async.pp f.Campaign.shrunk
-    f.Campaign.shrunk_detail
+  if st.costed then begin
+    Format.fprintf ppf "  schedule (cost %d): %a@." (cost f.Campaign.schedule)
+      pp f.Campaign.schedule;
+    Format.fprintf ppf "  cheapest break (cost %d, %d executions): %a (%s)@."
+      (cost f.Campaign.shrunk) f.Campaign.shrink_executions pp
+      f.Campaign.shrunk f.Campaign.shrunk_detail
+  end
+  else begin
+    Format.fprintf ppf "  schedule: %a@." pp f.Campaign.schedule;
+    Format.fprintf ppf "  shrunk (%d executions): %a (%s)@."
+      f.Campaign.shrink_executions pp f.Campaign.shrunk
+      f.Campaign.shrunk_detail
+  end
 
-let report_async_byz_subject spec hardening sched =
-  let subject = AF.run_byz_schedule spec hardening sched in
-  Format.printf "  %a outcome=%a@." Simkit.Metrics.pp_summary
-    subject.AF.result.Asim.Event_sim.metrics Asim.Event_sim.pp_outcome
-    subject.AF.result.Asim.Event_sim.outcome
+(* Each failure becomes [<protocol>-seed<k>-<i>.sched], the shrunk schedule
+   [replay] takes, plus a machine-readable [.report.json] companion: the
+   oracle verdict and both the original and the shrunk schedule texts. *)
+let write_corpus st ~corpus ~seed failures =
+  let write path text =
+    let oc = open_out path in
+    output_string oc text;
+    close_out oc;
+    Format.printf "  written: %s@." path
+  in
+  if failures <> [] && not (Sys.file_exists corpus) then Sys.mkdir corpus 0o755;
+  List.iteri
+    (fun i (f : _ Campaign.failure) ->
+      let base =
+        Filename.concat corpus (Printf.sprintf "%s-seed%d-%d" st.name seed i)
+      in
+      write (base ^ ".sched") (st.format.print f.Campaign.shrunk);
+      write (base ^ ".report.json")
+        (J.pretty
+           (J.Obj
+              [
+                ("schema", J.Str "dhw-fuzz-failure/v1");
+                ("protocol", J.Str st.name);
+                ("seed", J.Int seed);
+                ("index", J.Int i);
+                ("oracle", J.Str f.Campaign.oracle);
+                ("detail", J.Str f.Campaign.detail);
+                ("schedule", J.Str (st.format.print f.Campaign.schedule));
+                ("shrunk", J.Str (st.format.print f.Campaign.shrunk));
+                ("shrunk_detail", J.Str f.Campaign.shrunk_detail);
+                ("shrink_executions", J.Int f.Campaign.shrink_executions);
+              ])
+        ^ "\n"))
+    failures
 
-let byz_fuzz_cmd =
+let fuzz st spec (o : fuzz_opts) ~work_cap ~corpus =
+  let extra = Option.to_list (Option.map st.work_cap work_cap) in
+  let suffix, stats = st.campaign o ~extra spec in
+  Format.printf "%scampaign: protocol=%s n=%d t=%d seed=%d%s@." st.kind
+    st.name (D.Spec.n spec) (D.Spec.processes spec) o.seed suffix;
+  Format.printf "%a@." Campaign.pp_stats stats;
+  List.iteri
+    (fun i f ->
+      Format.printf "%a" (pp_failure st) (i, f);
+      (* one more run, printed as replay prints it, so a failure and its
+         replay can be compared verbatim *)
+      Format.printf "  %a@." st.pp_subject (st.run spec f.Campaign.shrunk))
+    stats.Campaign.failures;
+  write_corpus st ~corpus ~seed:o.seed stats.Campaign.failures;
+  if stats.Campaign.failures <> [] then exit 1
+
+let fuzz_cmd =
   let proto_arg =
     Arg.(value & opt string "A" & info [ "p"; "protocol" ]
-         ~doc:"Protocol A variant to attack: $(b,a) (unhardened, expect a counterexample) or $(b,a+val) (validated, expect none).")
+         ~doc:"Protocol, which picks the adversary: $(b,a), $(b,b), $(b,c), $(b,c-chunked), $(b,c-naive), $(b,d), $(b,d-coord), $(b,trivial) or $(b,checkpoint[:k]) face partial-delivery crashes; $(b,a+rec) or $(b,b+rec) crash+restart storms; $(b,a+val) (or $(b,a) with $(b,--byz)) corruption/Byzantine storms; $(b,async-a) crashes plus a lossy link on the asynchronous substrate, and $(b,async-a+val) (or $(b,async-a) with $(b,--byz)) Byzantine storms there.")
   in
   let executions_arg =
-    Arg.(value & opt int 200 & info [ "executions" ]
-         ~doc:"Random corruption/Byzantine schedules to run.")
+    Arg.(value & opt (some int) None & info [ "executions" ]
+         ~doc:"Random schedules to run (default 200, 100 for async-a; ignored with --exhaustive).")
   in
-  let byz_arg =
-    Arg.(value & opt (some int) None & info [ "byz" ] ~docv:"B"
-         ~doc:"Byzantine processes per schedule (default t/3 - 1; must satisfy 0 <= B < t).")
+  let exhaustive_arg =
+    Arg.(value & flag & info [ "exhaustive" ]
+         ~doc:"Crash protocols only: enumerate every (victim set x crash round grid x mode) schedule instead of sampling; keep -t tiny.")
   in
   let window_opt_arg =
     Arg.(value & opt (some int) None & info [ "window" ] ~docv:"ROUNDS"
-         ~doc:"Fault-round window (default: twice the failure-free running time).")
+         ~doc:"Fault round (async: tick) window (default: twice the failure-free running time).")
   in
-  let corpus_arg =
-    Arg.(value & opt string "corpus" & info [ "corpus" ] ~docv:"DIR"
-         ~doc:"Directory where cheapest-break schedules are written.")
+  let restart_gap_arg =
+    Arg.(value & opt (some int) None & info [ "restart-gap" ] ~docv:"ROUNDS"
+         ~doc:"a+rec/b+rec only: maximum downtime before a sampled restart (default 6).")
   in
-  let max_failures_arg =
-    Arg.(value & opt int 3 & info [ "max-failures" ]
-         ~doc:"Stop after this many (shrunk) violations.")
-  in
-  let async_arg =
-    Arg.(value & flag & info [ "async" ]
-         ~doc:"Attack the asynchronous substrate instead: corrupt/byz entries act on the reliable-link wire frames of hardened (or validated) async Protocol A.")
-  in
-  let run proto n t seed executions byz window corpus max_failures jobs async =
-    match D.Fuzz.byz_hardening_of_name proto with
-    | None ->
-        prerr_endline ("unknown byz-fuzz protocol: " ^ proto ^ " (a, a+val)");
-        exit 2
-    | Some hardening ->
-        check_campaign_config ~executions ~window;
-        (match byz with
-        | Some b when b < 0 || b >= t ->
-            prerr_endline
-              (Printf.sprintf "--byz must satisfy 0 <= B < t (got %d, t = %d)" b t);
-            exit 2
-        | _ -> ());
-        let spec = D.Spec.make ~n ~t in
-        let jobs = resolve_jobs jobs in
-        let byz_count =
-          match byz with Some b -> b | None -> min (max 0 ((t / 3) - 1)) (t - 1)
-        in
-        if async then begin
-          let name = AF.byz_protocol_name hardening in
-          let stats =
-            AF.byz_campaign ~jobs ~seed:(Int64.of_int seed) ~executions ?byz
-              ?window ~max_failures spec hardening
-          in
-          Format.printf "byz campaign: protocol=%s n=%d t=%d seed=%d byz=%d@."
-            name n t seed byz_count;
-          Format.printf "%a@." Campaign.pp_stats stats;
-          List.iteri
-            (fun i f ->
-              Format.printf "%a" pp_async_byz_failure (i, f);
-              report_async_byz_subject spec hardening f.Campaign.shrunk)
-            stats.Campaign.failures;
-          write_async_corpus ~corpus ~protocol:name ~seed
-            stats.Campaign.failures;
-          if stats.Campaign.failures <> [] then exit 1
-        end
-        else begin
-          let name = D.Fuzz.byz_protocol_name hardening in
-          let stats =
-            D.Fuzz.byz_campaign ~jobs ~seed:(Int64.of_int seed) ~executions ?byz
-              ?window ~max_failures spec hardening
-          in
-          Format.printf "byz campaign: protocol=%s n=%d t=%d seed=%d byz=%d@."
-            name n t seed byz_count;
-          Format.printf "%a@." Campaign.pp_stats stats;
-          List.iteri
-            (fun i f ->
-              Format.printf "%a" pp_byz_failure (i, f);
-              report_byz_subject spec hardening f.Campaign.shrunk)
-            stats.Campaign.failures;
-          write_corpus ~corpus ~protocol:name ~seed stats.Campaign.failures;
-          if stats.Campaign.failures <> [] then exit 1
-        end
-  in
-  Cmd.v
-    (Cmd.info "byz-fuzz"
-       ~doc:"Corruption/Byzantine storm campaign: forged and tampered checkpoint views against plain or validated Protocol A, shrinking any violation to the cheapest breaking schedule")
-    Term.(
-      const run $ proto_arg $ n_arg $ t_arg $ seed_arg $ executions_arg
-      $ byz_arg $ window_opt_arg $ corpus_arg $ max_failures_arg $ jobs_arg
-      $ async_arg)
-
-let byz_replay_async text =
-  match Campaign.Async.parse text with
-  | Error msg -> prerr_endline ("parse error: " ^ msg); exit 2
-  | Ok sched ->
-      let meta key =
-        match Campaign.Async.meta sched key with
-        | Some v -> v
-        | None ->
-            prerr_endline ("schedule file lacks meta " ^ key);
-            exit 2
-      in
-      let name = meta "protocol" in
-      (match AF.byz_hardening_of_name name with
-      | None ->
-          prerr_endline
-            ("not a byz-fuzz protocol: " ^ name ^ " (async-a, async-a+val)");
-          exit 2
-      | Some hardening ->
-          let n = int_of_string (meta "n") and t = int_of_string (meta "t") in
-          let spec = D.Spec.make ~n ~t in
-          let subject = AF.run_byz_schedule spec hardening sched in
-          let oracles = AF.byz_oracles spec ~hardening in
-          Format.printf
-            "byz replay: protocol=%s n=%d t=%d cost=%d schedule: %a@."
-            (AF.byz_protocol_name hardening)
-            n t
-            (Campaign.Async.cost sched)
-            Campaign.Async.pp sched;
-          Format.printf "  %a outcome=%a@." Simkit.Metrics.pp_summary
-            subject.AF.result.Asim.Event_sim.metrics Asim.Event_sim.pp_outcome
-            subject.AF.result.Asim.Event_sim.outcome;
-          (match Campaign.first_failure oracles subject with
-          | None -> Format.printf "verdict: all oracles pass@."
-          | Some (oracle, detail) ->
-              Format.printf "verdict: oracle=%s FAILS (%s)@." oracle detail;
-              exit 1))
-
-let byz_replay_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
-         ~doc:"Schedule file produced by byz-fuzz (or hand-written; may contain corrupt/byz entries). Both the synchronous (schedule v1) and asynchronous (async-schedule v1) formats are accepted.")
-  in
-  let run file =
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    if String.length text >= 14 && String.sub text 0 14 = "async-schedule" then
-      byz_replay_async text
-    else
-    match Campaign.Schedule.parse text with
-    | Error msg -> prerr_endline ("parse error: " ^ msg); exit 2
-    | Ok sched ->
-        let meta key =
-          match Campaign.Schedule.meta sched key with
-          | Some v -> v
-          | None ->
-              prerr_endline ("schedule file lacks meta " ^ key);
-              exit 2
-        in
-        let name = meta "protocol" in
-        (match D.Fuzz.byz_hardening_of_name name with
-        | None ->
-            prerr_endline ("not a byz-fuzz protocol: " ^ name ^ " (a, a+val)");
-            exit 2
-        | Some hardening ->
-            let n = int_of_string (meta "n") and t = int_of_string (meta "t") in
-            let spec = D.Spec.make ~n ~t in
-            let max_rounds =
-              D.Fuzz.byz_max_rounds spec ~window:(byz_horizon sched)
-            in
-            let subject = D.Fuzz.run_byz_schedule ~max_rounds spec hardening sched in
-            let oracles = D.Fuzz.byz_oracles spec ~hardening in
-            Format.printf
-              "byz replay: protocol=%s n=%d t=%d cost=%d schedule: %a@."
-              (D.Fuzz.byz_protocol_name hardening)
-              n t
-              (Campaign.Schedule.cost sched)
-              Campaign.Schedule.pp sched;
-            Format.printf "  %a@." D.Runner.pp subject.D.Fuzz.report;
-            (match Campaign.first_failure oracles subject with
-            | None -> Format.printf "verdict: all oracles pass@."
-            | Some (oracle, detail) ->
-                Format.printf "verdict: oracle=%s FAILS (%s)@." oracle detail;
-                exit 1))
-  in
-  Cmd.v
-    (Cmd.info "byz-replay"
-       ~doc:"Re-run a serialized corruption/Byzantine schedule and re-judge it with the byz oracle stack")
-    Term.(const run $ file_arg)
-
-(* ------------------------------------------------------------------ *)
-(* Async campaigns: async-fuzz + async-replay *)
-
-let pp_async_failure ppf (i, (f : Campaign.Async.t Campaign.failure)) =
-  Format.fprintf ppf "violation #%d: oracle=%s (%s)@." i f.Campaign.oracle
-    f.Campaign.detail;
-  Format.fprintf ppf "  schedule: %a@." Campaign.Async.pp f.Campaign.schedule;
-  Format.fprintf ppf "  shrunk (%d executions): %a (%s)@."
-    f.Campaign.shrink_executions Campaign.Async.pp f.Campaign.shrunk
-    f.Campaign.shrunk_detail
-
-let report_async_subject spec sched =
-  let subject = AF.run_schedule spec sched in
-  Format.printf "  %a outcome=%a@." Simkit.Metrics.pp_summary
-    subject.AF.result.Asim.Event_sim.metrics Asim.Event_sim.pp_outcome
-    subject.AF.result.Asim.Event_sim.outcome
-
-let async_fuzz_cmd =
-  let executions_arg =
-    Arg.(value & opt int 100 & info [ "executions" ]
-         ~doc:"Random async schedules to run.")
-  in
-  let window_opt_arg =
-    Arg.(value & opt (some int) None & info [ "window" ] ~docv:"TICKS"
-         ~doc:"Crash-tick window (default: twice the failure-free hardened running time).")
+  let byz_arg =
+    Arg.(value & opt (some int) None & info [ "byz" ] ~docv:"B"
+         ~doc:"Byzantine processes per schedule (default t/3 - 1; must satisfy 0 <= B < t). Selects the Byzantine stack for a and async-a.")
   in
   let corpus_arg =
     Arg.(value & opt string "corpus" & info [ "corpus" ] ~docv:"DIR"
          ~doc:"Directory where shrunk failing schedules are written.")
   in
-  let work_cap_arg =
-    Arg.(value & opt (some int) None & info [ "work-cap" ] ~docv:"UNITS"
-         ~doc:"Extra oracle asserting total work <= $(i,UNITS). Setting it to n deliberately fails under duplication - the hook for demonstrating shrinking and replay.")
-  in
   let max_failures_arg =
     Arg.(value & opt int 3 & info [ "max-failures" ]
          ~doc:"Stop after this many (shrunk) violations.")
   in
-  let run n t seed executions window corpus work_cap max_failures jobs =
-    check_campaign_config ~executions ~window;
-    let spec = D.Spec.make ~n ~t in
-    let jobs = resolve_jobs jobs in
-    let extra =
-      match work_cap with None -> [] | Some cap -> [ AF.work_cap cap ]
+  let run proto n t seed executions (exhaustive, u1) window (restart_gap, u2)
+      (byz, u3) corpus (work_cap, u4) max_failures jobs =
+    let proto = String.lowercase_ascii proto in
+    let st = stack_of_name ~byz:(byz <> None) proto in
+    if Option.fold ~none:false ~some:(fun e -> e < 0) executions then
+      usage "--executions must be >= 0";
+    if Option.fold ~none:false ~some:(fun w -> w < 0) window then
+      usage "--window must be >= 0";
+    if jobs < 0 then usage "--jobs must be >= 0 (0 = one worker per core)";
+    let jobs = if jobs = 0 then Simkit.Pool.default_jobs () else jobs in
+    let spec = spec_of ~n ~t in
+    let o =
+      { seed; executions; exhaustive; window; restart_gap; byz; max_failures;
+        jobs }
     in
-    let stats =
-      AF.campaign ~jobs ~seed:(Int64.of_int seed) ~executions ?window ~extra
-        ~max_failures spec
-    in
-    Format.printf "async campaign: protocol=async-a n=%d t=%d seed=%d@." n t
-      seed;
-    Format.printf "%a@." Campaign.pp_stats stats;
-    List.iteri
-      (fun i f ->
-        Format.printf "%a" pp_async_failure (i, f);
-        report_async_subject spec f.Campaign.shrunk)
-      stats.Campaign.failures;
-    write_async_corpus ~corpus ~protocol:"async-a" ~seed stats.Campaign.failures;
-    if stats.Campaign.failures <> [] then exit 1
+    let used = List.concat [ u1; u2; u3; u4 ] in
+    match st with
+    | Sync st ->
+        reject_flags ~cmd:"fuzz" st used;
+        fuzz st spec o ~work_cap ~corpus
+    | Async st ->
+        reject_flags ~cmd:"fuzz" st used;
+        fuzz st spec o ~work_cap ~corpus
   in
   Cmd.v
-    (Cmd.info "async-fuzz"
-       ~doc:"Async adversary campaign: crashes plus message loss/duplication/slowdown against the hardened asynchronous Protocol A, shrinking any violation")
+    (Cmd.info "fuzz"
+       ~doc:"Adversary campaign against a protocol, shrinking every violation to a replayable corpus schedule; the protocol name picks the adversary")
     Term.(
-      const run $ n_arg $ t_arg $ seed_arg $ executions_arg $ window_opt_arg
-      $ corpus_arg $ work_cap_arg $ max_failures_arg $ jobs_arg)
-
-let async_replay_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
-         ~doc:"Async schedule file produced by async-fuzz (or hand-written).")
-  in
-  let work_cap_arg =
-    Arg.(value & opt (some int) None & info [ "work-cap" ] ~docv:"UNITS"
-         ~doc:"Re-add the extra work <= $(i,UNITS) oracle used when the schedule was found.")
-  in
-  let run file work_cap =
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    match Campaign.Async.parse text with
-    | Error msg -> prerr_endline ("parse error: " ^ msg); exit 2
-    | Ok sched ->
-        let meta key =
-          match Campaign.Async.meta sched key with
-          | Some v -> v
-          | None ->
-              prerr_endline ("schedule file lacks meta " ^ key);
-              exit 2
-        in
-        let n = int_of_string (meta "n") and t = int_of_string (meta "t") in
-        let spec = D.Spec.make ~n ~t in
-        let subject = AF.run_schedule spec sched in
-        let extra =
-          match work_cap with None -> [] | Some cap -> [ AF.work_cap cap ]
-        in
-        let oracles = AF.oracles () @ extra in
-        Format.printf "async replay: n=%d t=%d schedule: %a@." n t
-          Campaign.Async.pp sched;
-        Format.printf "  %a outcome=%a@." Simkit.Metrics.pp_summary
-          subject.AF.result.Asim.Event_sim.metrics Asim.Event_sim.pp_outcome
-          subject.AF.result.Asim.Event_sim.outcome;
-        (match Campaign.first_failure oracles subject with
-        | None -> Format.printf "verdict: all oracles pass@."
-        | Some (oracle, detail) ->
-            Format.printf "verdict: oracle=%s FAILS (%s)@." oracle detail;
-            exit 1)
-  in
-  Cmd.v
-    (Cmd.info "async-replay"
-       ~doc:"Re-run a serialized async campaign schedule and re-judge it with the same oracle stack")
-    Term.(const run $ file_arg $ work_cap_arg)
+      const run $ proto_arg $ n_arg $ t_arg $ seed_arg $ executions_arg
+      $ tracked "--exhaustive" exhaustive_arg
+      $ window_opt_arg
+      $ tracked "--restart-gap" restart_gap_arg
+      $ tracked "--byz" byz_arg $ corpus_arg
+      $ tracked "--work-cap" work_cap_arg
+      $ max_failures_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
-(* Real-process deployment: net-run + net-replay *)
+(* Real-process deployment: net-run (and replay --real of a schedule v1
+   file) *)
 
 module Net = Dhw_net
 
@@ -1426,7 +1096,7 @@ let copy_file src dst =
   close_out oc
 
 (* Run a schedule against a real-process fleet; shared by net-run and
-   net-replay. Returns (config, orchestrator result, runner-shaped
+   replay --real. Returns (config, orchestrator result, runner-shaped
    report). With [~trace_out:(Some path)] the fleet runs traced: nodes and
    orchestrator write span files under the run dir and the merged
    dhw-trace/v1 stream is copied to [path] before the run dir is deleted. *)
@@ -1534,87 +1204,9 @@ let net_run_cmd =
       $ node_exe_arg $ addr_arg $ watchdog_arg $ io_timeout_arg $ rejoin_arg
       $ max_rounds_arg $ keep_dir_arg $ diff_arg $ report_arg $ trace_out_arg)
 
-let net_replay_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
-         ~doc:"Schedule file (from fuzz, recovery-fuzz, or hand-written).")
-  in
-  let run file node_exe addr watchdog io_timeout rejoin_rounds max_rounds
-      keep_dir trace_out =
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    match Campaign.Schedule.parse text with
-    | Error msg -> prerr_endline ("parse error: " ^ msg); exit 2
-    | Ok sched ->
-        let meta key =
-          match Campaign.Schedule.meta sched key with
-          | Some v -> v
-          | None ->
-              prerr_endline ("schedule file lacks meta " ^ key);
-              exit 2
-        in
-        let protocol =
-          match net_protocol_of_name (meta "protocol") with
-          | Some p -> p
-          | None ->
-              prerr_endline
-                ("net-replay: protocol " ^ meta "protocol"
-                ^ " has no real-process deployment (a, b, a+rec, b+rec)");
-              exit 2
-        in
-        let n = int_of_string (meta "n") and t = int_of_string (meta "t") in
-        let spec = D.Spec.make ~n ~t in
-        let _cfg, res, rr =
-          net_execute ~node_exe ~addr ~watchdog ~io_timeout ~rejoin_rounds
-            ~max_rounds ~keep_dir ~trace_out spec ~protocol sched
-        in
-        Format.printf "net replay: protocol=%s n=%d t=%d schedule: %a@."
-          protocol n t Campaign.Schedule.pp sched;
-        Format.printf "  %a@." D.Runner.pp rr;
-        Format.printf "  outcome: %s@."
-          (Net.Orchestrator.stop_to_string res.Net.Orchestrator.stop);
-        let subject = { D.Fuzz.report = rr; trace = res.Net.Orchestrator.trace } in
-        (* The same oracle stack a simulator replay of this schedule faces. *)
-        let oracles =
-          match D.Fuzz.recovery_which_of_name protocol with
-          | Some which when protocol = "a+rec" || protocol = "b+rec" ->
-              let horizon =
-                List.fold_left
-                  (fun acc (e : Campaign.Schedule.entry) -> max acc e.at)
-                  0 sched.Campaign.Schedule.entries
-              in
-              D.Fuzz.recovery_oracles spec which ~horizon
-          | _ -> D.Fuzz.oracles spec ~protocol
-        in
-        let oracle_failure = Campaign.first_failure oracles subject in
-        (match oracle_failure with
-        | None -> Format.printf "oracles: all pass@."
-        | Some (oracle, detail) ->
-            Format.printf "oracles: %s FAILS (%s)@." oracle detail);
-        let sim =
-          net_sim_subject spec ~protocol ~rejoin_rounds ~max_rounds sched
-        in
-        let parity = net_parity_check ~sim ~real:rr in
-        (match parity with
-        | [] -> Format.printf "diff: sim and real runs agree on every measure@."
-        | ms ->
-            Format.printf "diff: sim-vs-real MISMATCH (%s)@."
-              (String.concat "; " ms));
-        if oracle_failure <> None || parity <> [] then exit 1;
-        net_exit res ~ok:true
-  in
-  Cmd.v
-    (Cmd.info "net-replay"
-       ~doc:"Re-run a serialized schedule against real processes, re-judge with the simulator's oracle stack, and require sim-vs-real effort parity")
-    Term.(
-      const run $ file_arg $ node_exe_arg $ addr_arg $ watchdog_arg
-      $ io_timeout_arg $ rejoin_arg $ max_rounds_arg $ keep_dir_arg
-      $ trace_out_arg)
-
 (* ------------------------------------------------------------------ *)
-(* Asynchronous real-process fleet: async-net-run + async-net-replay.
+(* Asynchronous real-process fleet: async-net-run (and replay --real of an
+   async-schedule v1 file).
    No round-lockstep control plane: dhw_node --async peers exchange
    protocol traffic and heartbeats directly over a datagram mesh, detect
    failures organically, and the runner only spawns / SIGKILLs /
@@ -1805,7 +1397,7 @@ let async_net_exit (rep : Net.Fleet.report) ~parity =
   then exit 3;
   if (not rep.Net.Fleet.ok) || parity <> [] then exit 1
 
-(* Shared by async-net-run and async-net-replay. *)
+(* Shared by async-net-run and replay --real. *)
 let async_net_execute ~node_exe ~watchdog ~tick_ms ~max_ticks ~keep_dir
     ~trace_out ~diff ~report_fmt spec sched =
   async_net_check sched;
@@ -1894,7 +1486,7 @@ let async_net_run_cmd =
   in
   let out_arg =
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE"
-         ~doc:"Also serialize the schedule to $(i,FILE) for async-net-replay.")
+         ~doc:"Also serialize the schedule to $(i,FILE) for $(b,replay --real).")
   in
   let run n t seed drop dup crashes restarts severs node_exe watchdog tick_ms
       max_ticks keep_dir trace_out diff report_fmt out =
@@ -1937,38 +1529,201 @@ let async_net_run_cmd =
       $ max_ticks_arg $ keep_dir_arg $ trace_out_arg $ diff_arg $ report_arg
       $ out_arg)
 
-let async_net_replay_cmd =
+(* ------------------------------------------------------------------ *)
+(* replay: one schedule file through the stack it names, in the simulator
+   or, with --real, on a real fleet *)
+
+type schedule_file =
+  | Sync_file of Campaign.Schedule.t
+  | Async_file of Campaign.Async.t
+
+(* The one loader every replay goes through: the header picks the format;
+   meta protocol/n/t and every pid are checked here, so a malformed file
+   is a usage error (exit 2) naming its key or line. *)
+let load file =
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  let parsed =
+    if Campaign.header text = Some "async-schedule v1" then
+      Result.map (fun s -> Async_file s) (Campaign.Async.parse text)
+    else Result.map (fun s -> Sync_file s) (Campaign.Schedule.parse text)
+  in
+  let sched =
+    match parsed with Ok s -> s | Error msg -> usage "parse error: %s" msg
+  in
+  let meta, pids =
+    match sched with
+    | Sync_file s -> (Campaign.Schedule.meta s, Campaign.Schedule.pids s)
+    | Async_file s -> (Campaign.Async.meta s, Campaign.Async.pids s)
+  in
+  let meta key =
+    match meta key with
+    | Some v -> v
+    | None -> usage "schedule file lacks meta %s" key
+  in
+  let count key =
+    match int_of_string_opt (meta key) with
+    | Some v when v >= 1 -> v
+    | _ ->
+        usage "schedule file: meta %s must be an integer >= 1, got %S" key
+          (meta key)
+  in
+  let protocol = meta "protocol" in
+  let n = count "n" in
+  let t = count "t" in
+  List.iter
+    (fun (pid, line) ->
+      if pid < 0 || pid >= t then
+        usage "schedule file: %S names pid %d outside [0, %d) (meta t)" line
+          pid t)
+    pids;
+  (sched, protocol, D.Spec.make ~n ~t)
+
+let replay st spec sched ~work_cap =
+  if work_cap <> None then reject_flags ~cmd:"replay" st [ "--work-cap" ];
+  let subject = st.run spec sched in
+  let oracles =
+    st.oracles spec sched @ Option.to_list (Option.map st.work_cap work_cap)
+  in
+  Format.printf "%s n=%d t=%d%s schedule: %a@." st.replay_head (D.Spec.n spec)
+    (D.Spec.processes spec)
+    (if st.costed then Printf.sprintf " cost=%d" (st.format.cost sched) else "")
+    st.format.pp sched;
+  Format.printf "  %a@." st.pp_subject subject;
+  match Campaign.first_failure oracles subject with
+  | None -> Format.printf "verdict: all oracles pass@."
+  | Some (oracle, detail) ->
+      Format.printf "verdict: oracle=%s FAILS (%s)@." oracle detail;
+      exit 1
+
+(* A schedule v1 file on the lockstep fleet: judged by the oracle stack
+   its simulator replay faces, and always checked for sim-vs-real effort
+   parity. *)
+let net_replay ~node_exe ~addr ~watchdog ~io_timeout ~rejoin_rounds
+    ~max_rounds ~keep_dir ~trace_out st spec sched =
+  let protocol =
+    match net_protocol_of_name st.name with
+    | Some p -> p
+    | None ->
+        usage
+          "replay --real: protocol %s has no real-process deployment (a, b, \
+           a+rec, b+rec)"
+          st.name
+  in
+  let _cfg, res, rr =
+    net_execute ~node_exe ~addr ~watchdog ~io_timeout ~rejoin_rounds
+      ~max_rounds ~keep_dir ~trace_out spec ~protocol sched
+  in
+  Format.printf "net replay: protocol=%s n=%d t=%d schedule: %a@." protocol
+    (D.Spec.n spec) (D.Spec.processes spec) Campaign.Schedule.pp sched;
+  Format.printf "  %a@." D.Runner.pp rr;
+  Format.printf "  outcome: %s@."
+    (Net.Orchestrator.stop_to_string res.Net.Orchestrator.stop);
+  let subject = { D.Fuzz.report = rr; trace = res.Net.Orchestrator.trace } in
+  let oracle_failure = Campaign.first_failure (st.oracles spec sched) subject in
+  (match oracle_failure with
+  | None -> Format.printf "oracles: all pass@."
+  | Some (oracle, detail) ->
+      Format.printf "oracles: %s FAILS (%s)@." oracle detail);
+  let sim = net_sim_subject spec ~protocol ~rejoin_rounds ~max_rounds sched in
+  let parity = net_parity_check ~sim ~real:rr in
+  (match parity with
+  | [] -> Format.printf "diff: sim and real runs agree on every measure@."
+  | ms ->
+      Format.printf "diff: sim-vs-real MISMATCH (%s)@."
+        (String.concat "; " ms));
+  if oracle_failure <> None || parity <> [] then exit 1;
+  net_exit res ~ok:true
+
+let replay_cmd =
   let file_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
-         ~doc:"Async schedule file (async-schedule v1, as written by async-net-run --out or async-fuzz).")
+         ~doc:"Schedule file written by fuzz or async-net-run --out, or hand-written. Its header (schedule v1 or async-schedule v1) picks the substrate, its meta protocol the hardening, and corrupt/byz entries (or a corrupt rate) the Byzantine stack.")
   in
-  let run file node_exe watchdog tick_ms max_ticks keep_dir trace_out diff
-      report_fmt =
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    match Campaign.Async.parse text with
-    | Error msg -> prerr_endline ("parse error: " ^ msg); exit 2
-    | Ok sched ->
-        let meta key =
-          match Campaign.Async.meta sched key with
-          | Some v -> v
-          | None ->
-              prerr_endline ("schedule file lacks meta " ^ key);
-              exit 2
+  let real_arg =
+    Arg.(value & flag & info [ "real" ]
+         ~doc:"Run the schedule on real dhw_node processes: a schedule v1 file on the lockstep fleet (judged by the simulator's oracle stack, sim-vs-real parity always checked), an async-schedule v1 file on the async fleet (parity with $(b,--diff)).")
+  in
+  let sync_real =
+    [ "--node-exe"; "--addr"; "--watchdog"; "--io-timeout"; "--rejoin-rounds";
+      "--max-rounds"; "--keep-dir"; "--trace-out" ]
+  and async_real =
+    [ "--node-exe"; "--watchdog"; "--tick-ms"; "--max-ticks"; "--keep-dir";
+      "--trace-out"; "--diff"; "--report" ]
+  in
+  let run file work_cap real (node_exe, u1) (addr, u2) (watchdog, u3)
+      (io_timeout, u4) (rejoin_rounds, u5) (max_rounds, u6) (keep_dir, u7)
+      (trace_out, u8) (tick_ms, u9) (max_ticks, u10) (diff, u11)
+      (report_fmt, u12) =
+    let sched, protocol, spec = load file in
+    let used =
+      List.concat [ u1; u2; u3; u4; u5; u6; u7; u8; u9; u10; u11; u12 ]
+    in
+    if real && work_cap <> None then
+      usage "replay: --work-cap does not apply with --real";
+    if (not real) && used <> [] then
+      usage "replay: %s needs --real" (List.hd used);
+    let only allowed what =
+      List.iter
+        (fun f ->
+          if not (List.mem f allowed) then
+            usage "replay --real: %s does not apply to %s files" f what)
+        used
+    in
+    match sched with
+    | Sync_file s -> (
+        let byz =
+          List.exists
+            (fun (e : Campaign.Schedule.entry) ->
+              match e.mode with
+              | Campaign.Schedule.Corrupt _ | Campaign.Schedule.Byzantine ->
+                  true
+              | _ -> false)
+            s.Campaign.Schedule.entries
         in
-        let n = int_of_string (meta "n") and t = int_of_string (meta "t") in
-        let spec = D.Spec.make ~n ~t in
-        async_net_execute ~node_exe ~watchdog ~tick_ms ~max_ticks ~keep_dir
-          ~trace_out ~diff ~report_fmt spec sched
+        match stack_of_name ~byz protocol with
+        | Async _ ->
+            usage "replay: protocol %s needs an async-schedule v1 file" protocol
+        | Sync st when real ->
+            only sync_real "schedule v1";
+            net_replay ~node_exe ~addr ~watchdog ~io_timeout ~rejoin_rounds
+              ~max_rounds ~keep_dir ~trace_out st spec s
+        | Sync st -> replay st spec s ~work_cap)
+    | Async_file s -> (
+        let byz =
+          s.Campaign.Async.byz <> [] || s.Campaign.Async.corrupt_bp > 0
+        in
+        match stack_of_name ~byz protocol with
+        | Sync _ ->
+            usage "replay: protocol %s needs a schedule v1 file" protocol
+        | Async st when real ->
+            only async_real "async-schedule v1";
+            if st.name <> "async-a" then
+              usage
+                "replay --real: protocol %s has no real-process deployment \
+                 (async-a)"
+                protocol;
+            async_net_execute ~node_exe ~watchdog ~tick_ms ~max_ticks ~keep_dir
+              ~trace_out ~diff ~report_fmt spec s
+        | Async st -> replay st spec s ~work_cap)
   in
   Cmd.v
-    (Cmd.info "async-net-replay"
-       ~doc:"Re-run a serialized async schedule against a real dhw_node fleet; the canonical stdout section is deterministic for a fixed schedule, so two replays can be compared byte-for-byte")
+    (Cmd.info "replay"
+       ~doc:"Re-run a schedule file and re-judge it with the oracle stack it names; with --real, on a real process fleet")
     Term.(
-      const run $ file_arg $ node_exe_arg $ watchdog_arg $ tick_ms_arg
-      $ max_ticks_arg $ keep_dir_arg $ trace_out_arg $ diff_arg $ report_arg)
+      const run $ file_arg $ work_cap_arg $ real_arg
+      $ tracked "--node-exe" node_exe_arg
+      $ tracked "--addr" addr_arg
+      $ tracked "--watchdog" watchdog_arg
+      $ tracked "--io-timeout" io_timeout_arg
+      $ tracked "--rejoin-rounds" rejoin_arg
+      $ tracked "--max-rounds" max_rounds_arg
+      $ tracked "--keep-dir" keep_dir_arg
+      $ tracked "--trace-out" trace_out_arg
+      $ tracked "--tick-ms" tick_ms_arg
+      $ tracked "--max-ticks" max_ticks_arg
+      $ tracked "--diff" diff_arg
+      $ tracked "--report" report_arg)
+
 
 let trace_cmd =
   let file_arg =
@@ -2013,7 +1768,4 @@ let () =
        (Cmd.group
           (Cmd.info "doall_cli" ~doc)
           [ run_cmd; timeline_cmd; ba_cmd; async_cmd; shmem_cmd; bootstrap_cmd;
-            fuzz_cmd; replay_cmd; recovery_fuzz_cmd; recovery_replay_cmd;
-            byz_fuzz_cmd; byz_replay_cmd; async_fuzz_cmd; async_replay_cmd;
-            net_run_cmd; net_replay_cmd; async_net_run_cmd;
-            async_net_replay_cmd; trace_cmd ]))
+            fuzz_cmd; replay_cmd; net_run_cmd; async_net_run_cmd; trace_cmd ]))

@@ -6,8 +6,9 @@
 
     This is the asynchronous sibling of [Doall.Fuzz]: the engine is the
     generic {!Simkit.Campaign}, only the schedule type, the execution
-    function and the oracles differ. [doall_cli async-fuzz] /
-    [doall_cli async-replay] expose it on the command line. *)
+    function and the oracles differ. [doall_cli fuzz -p async-a] (and
+    [-p async-a+val] for the Byzantine campaigns) and [doall_cli replay]
+    expose it on the command line. *)
 
 module C = Simkit.Campaign
 

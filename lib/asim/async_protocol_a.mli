@@ -80,7 +80,8 @@ val run_hardened :
 
     The raw-alphabet wire tamper model is wired in, so a [corrupt_bp] link
     and [byz] subversions act: this is the {e exposed} baseline the
-    [byz-fuzz --async] campaign breaks — one forged or garbled
+    [doall_cli fuzz -p async-a --byz B] campaign breaks — one forged or
+    garbled
     [Full (S, g_j)] data frame retires waiting process [j] with the work
     undone. A subverted pid stops beating, so the heartbeat layer suspects
     it and the honest takeover chain stays live. Without [byz] and with

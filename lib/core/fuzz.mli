@@ -4,7 +4,8 @@
     ready-made sampled and exhaustive campaign drivers.
 
     Used by the tier-1 test suite, the E16 bench sweep, and the
-    [doall_cli fuzz] / [doall_cli replay] subcommands. *)
+    [doall_cli fuzz] / [doall_cli replay] subcommands, which pick the
+    crash, recovery or Byzantine stack by protocol name. *)
 
 module C := Simkit.Campaign
 
@@ -92,7 +93,7 @@ val recovery_oracles :
 
 val recovery_stamp : Spec.t -> Recovery.which -> C.Schedule.t -> C.Schedule.t
 (** Record protocol name ([a+rec] / [b+rec]), [n] and [t] in the schedule's
-    meta, making it self-contained for [doall_cli recovery-replay]. *)
+    meta, making it self-contained for [doall_cli replay]. *)
 
 val recovery_campaign :
   ?jobs:int ->
@@ -148,7 +149,7 @@ val byz_oracles : Spec.t -> hardening:hardening -> subject C.oracle list
 
 val byz_stamp : Spec.t -> hardening -> C.Schedule.t -> C.Schedule.t
 (** Record protocol name ([a] / [a+val]), [n] and [t] in the schedule's
-    meta, making it self-contained for [doall_cli byz-replay]. *)
+    meta, making it self-contained for [doall_cli replay]. *)
 
 val byz_max_rounds : Spec.t -> window:int -> int
 (** The round cap byz campaigns run under: the deadline ladder retires the

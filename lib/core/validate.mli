@@ -6,7 +6,7 @@
     [Ckpt_script.knows_all_done] accepts a single [(S)] or [(S, g_j)]
     message, so one forged "all done" retires a waiting process with the
     work unperformed — the {e phantom-termination} attack (demonstrably
-    found by [doall_cli byz-fuzz] against plain A). This module wraps
+    found by [doall_cli fuzz -p a --byz B] against plain A). This module wraps
     Protocol A with two mechanisms:
 
     {ul

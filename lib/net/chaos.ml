@@ -9,7 +9,7 @@
    shared coin stream per decision (the simulator's approach) would
    diverge between runs; hashing the identity instead makes the same
    message meet the same fate in every execution of the same seed, which
-   is what lets async-net-replay reproduce a storm. *)
+   is what lets replay --real reproduce a storm. *)
 
 module C = Simkit.Campaign
 module Prng = Dhw_util.Prng

@@ -9,7 +9,7 @@
     simulator's approach) would therefore diverge between executions,
     while hashing the identity makes the same message meet the same fate
     every time the same seed runs. That property is what
-    [async-net-replay] rests on. *)
+    [doall_cli replay --real] of an async schedule rests on. *)
 
 type kind =
   | Data of { seq : int; attempt : int }

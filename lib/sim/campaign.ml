@@ -1,6 +1,95 @@
 open Types
 module Prng = Dhw_util.Prng
 
+(* The line format both schedule kinds share: a header line, then
+   [meta KEY VALUE] lines and kind-specific lines, then [end]. Blank lines,
+   [#] comments and CR line endings are skipped; every error names its
+   1-based line. *)
+module Lines = struct
+  let err lineno msg = Error (Printf.sprintf "line %d: %s" lineno msg)
+
+  let int_tok lineno what s k =
+    match int_of_string_opt s with
+    | Some i -> k i
+    | None -> err lineno (Printf.sprintf "expected %s, got %S" what s)
+
+  (* [@N] tokens: [is_at] guards a line pattern, [at_tok] reads the N. *)
+  let is_at s = String.length s > 1 && s.[0] = '@'
+
+  let at_tok lineno what s k =
+    int_tok lineno what (String.sub s 1 (String.length s - 1)) k
+
+  let strip s =
+    let s =
+      if String.length s > 0 && s.[String.length s - 1] = '\r' then
+        String.sub s 0 (String.length s - 1)
+      else s
+    in
+    String.trim s
+
+  let significant line = line <> "" && line.[0] <> '#'
+
+  let header text =
+    List.find_opt significant
+      (List.map strip (String.split_on_char '\n' text))
+
+  let add_meta meta bindings =
+    let replaced =
+      List.map
+        (fun (k, v) ->
+          match List.assoc_opt k bindings with Some v' -> (k, v') | None -> (k, v))
+        meta
+    in
+    replaced @ List.filter (fun (k, _) -> not (List.mem_assoc k meta)) bindings
+
+  let print ~header meta body =
+    let b = Buffer.create 256 in
+    Buffer.add_string b (header ^ "\n");
+    List.iter
+      (fun (k, v) -> Buffer.add_string b (Printf.sprintf "meta %s %s\n" k v))
+      meta;
+    List.iter (fun l -> Buffer.add_string b (l ^ "\n")) body;
+    Buffer.add_string b "end\n";
+    Buffer.contents b
+
+  (* [line lineno toks acc] reads one kind-specific line: [None] when the
+     kind has no such line, else the extended accumulator or an error.
+     [finish meta acc] builds the result at [end]. *)
+  let parse ~header ~init ~line ~finish text =
+    let rec body lineno meta acc = function
+      | [] -> Error "missing final \"end\" line"
+      | raw :: rest -> (
+          let l = strip raw in
+          if not (significant l) then body (lineno + 1) meta acc rest
+          else if l = "end" then Ok (finish (List.rev meta) acc)
+          else
+            match
+              String.split_on_char ' ' l |> List.filter (fun s -> s <> "")
+            with
+            | "meta" :: key :: value ->
+                (* the value is everything after the key, single-spaced *)
+                body (lineno + 1)
+                  ((key, String.concat " " value) :: meta)
+                  acc rest
+            | toks -> (
+                match line lineno toks acc with
+                | None -> err lineno (Printf.sprintf "unrecognized line %S" l)
+                | Some (Error e) -> Error e
+                | Some (Ok acc) -> body (lineno + 1) meta acc rest))
+    in
+    let rec head lineno = function
+      | [] -> Error "empty schedule text"
+      | raw :: rest ->
+          let l = strip raw in
+          if not (significant l) then head (lineno + 1) rest
+          else if l = header then body (lineno + 1) [] init rest
+          else err lineno (Printf.sprintf "expected header %S" header)
+    in
+    head 1 (String.split_on_char '\n' text)
+end
+
+let header = Lines.header
+
 module Schedule = struct
   type mode =
     | Silent
@@ -16,18 +105,7 @@ module Schedule = struct
   let make ?(meta = []) entries = { meta; entries }
 
   let meta t key = List.assoc_opt key t.meta
-
-  let add_meta t bindings =
-    let replaced =
-      List.map
-        (fun (k, v) ->
-          match List.assoc_opt k bindings with Some v' -> (k, v') | None -> (k, v))
-        t.meta
-    in
-    let fresh =
-      List.filter (fun (k, _) -> not (List.mem_assoc k t.meta)) bindings
-    in
-    { t with meta = replaced @ fresh }
+  let add_meta t bindings = { t with meta = Lines.add_meta t.meta bindings }
 
   (* Normalize a schedule into per-victim crash/restart cycles: entries are
      sorted by round (stable), then walked with an alternating state machine.
@@ -257,25 +335,14 @@ module Schedule = struct
     | Byzantine -> Printf.sprintf "byz %d @%d" e.victim e.at
     | m -> Printf.sprintf "crash %d @%d %s" e.victim e.at (mode_to_string m)
 
+  let pids t = List.map (fun e -> (e.victim, entry_to_string e)) t.entries
+  let header = "schedule v1"
   let print t =
-    let b = Buffer.create 256 in
-    Buffer.add_string b "schedule v1\n";
-    List.iter
-      (fun (k, v) -> Buffer.add_string b (Printf.sprintf "meta %s %s\n" k v))
-      t.meta;
-    List.iter
-      (fun e -> Buffer.add_string b (entry_to_string e ^ "\n"))
-      t.entries;
-    Buffer.add_string b "end\n";
-    Buffer.contents b
+    Lines.print ~header t.meta (List.map entry_to_string t.entries)
 
   let parse text =
-    let err lineno msg = Error (Printf.sprintf "line %d: %s" lineno msg) in
-    let int_tok lineno what s k =
-      match int_of_string_opt s with
-      | Some i -> k i
-      | None -> err lineno (Printf.sprintf "expected %s, got %S" what s)
-    in
+    let err = Lines.err and int_tok = Lines.int_tok and at_tok = Lines.at_tok in
+    let is_at = Lines.is_at in
     let parse_delivery lineno toks k =
       match toks with
       | [ "all" ] -> k Fault.All
@@ -308,90 +375,36 @@ module Schedule = struct
                   k (Acting { keep_work; delivery })))
       | _ -> err lineno "expected silent or acting ..."
     in
-    let lines = String.split_on_char '\n' text in
-    let strip s =
-      let s =
-        if String.length s > 0 && s.[String.length s - 1] = '\r' then
-          String.sub s 0 (String.length s - 1)
-        else s
+    let line lineno toks entries =
+      let entry pid at k =
+        int_tok lineno "pid" pid (fun victim ->
+            at_tok lineno "round" at (fun at ->
+                k (fun mode -> Ok ({ victim; at; mode } :: entries))))
       in
-      String.trim s
+      match toks with
+      | "crash" :: pid :: at :: mode_toks when is_at at ->
+          Some (entry pid at (fun add -> parse_mode lineno mode_toks add))
+      | [ "restart"; pid; at ] when is_at at ->
+          Some (entry pid at (fun add -> add Restart))
+      | [ "corrupt"; pid; at; kind; "salt"; salt ] when is_at at ->
+          Some
+            (match Fault.tamper_kind_of_string kind with
+            | None ->
+                err lineno
+                  (Printf.sprintf
+                     "expected lying-view | replay-stale | inflate-done, got %S"
+                     kind)
+            | Some t_kind ->
+                entry pid at (fun add ->
+                    int_tok lineno "salt" salt (fun t_salt ->
+                        add (Corrupt { Fault.t_kind; t_salt }))))
+      | [ "byz"; pid; at ] when is_at at ->
+          Some (entry pid at (fun add -> add Byzantine))
+      | _ -> None
     in
-    let rec body lineno meta entries = function
-      | [] -> Error "missing final \"end\" line"
-      | raw :: rest -> (
-          let line = strip raw in
-          if line = "" || line.[0] = '#' then body (lineno + 1) meta entries rest
-          else if line = "end" then
-            Ok { meta = List.rev meta; entries = List.rev entries }
-          else
-            let toks =
-              String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-            in
-            match toks with
-            | "meta" :: key :: rest_toks ->
-                (* the value is everything after the key, single-spaced *)
-                body (lineno + 1)
-                  ((key, String.concat " " rest_toks) :: meta)
-                  entries rest
-            | "crash" :: pid :: at :: mode_toks
-              when String.length at > 1 && at.[0] = '@' ->
-                int_tok lineno "pid" pid (fun victim ->
-                    int_tok lineno "round"
-                      (String.sub at 1 (String.length at - 1))
-                      (fun at ->
-                        parse_mode lineno mode_toks (fun mode ->
-                            body (lineno + 1) meta
-                              ({ victim; at; mode } :: entries)
-                              rest)))
-            | [ "restart"; pid; at ] when String.length at > 1 && at.[0] = '@' ->
-                int_tok lineno "pid" pid (fun victim ->
-                    int_tok lineno "round"
-                      (String.sub at 1 (String.length at - 1))
-                      (fun at ->
-                        body (lineno + 1) meta
-                          ({ victim; at; mode = Restart } :: entries)
-                          rest))
-            | [ "corrupt"; pid; at; kind; "salt"; salt ]
-              when String.length at > 1 && at.[0] = '@' -> (
-                match Fault.tamper_kind_of_string kind with
-                | None ->
-                    err lineno
-                      (Printf.sprintf
-                         "expected lying-view | replay-stale | inflate-done, \
-                          got %S"
-                         kind)
-                | Some t_kind ->
-                    int_tok lineno "pid" pid (fun victim ->
-                        int_tok lineno "round"
-                          (String.sub at 1 (String.length at - 1))
-                          (fun at ->
-                            int_tok lineno "salt" salt (fun t_salt ->
-                                body (lineno + 1) meta
-                                  ({ victim;
-                                     at;
-                                     mode = Corrupt { Fault.t_kind; t_salt } }
-                                  :: entries)
-                                  rest))))
-            | [ "byz"; pid; at ] when String.length at > 1 && at.[0] = '@' ->
-                int_tok lineno "pid" pid (fun victim ->
-                    int_tok lineno "round"
-                      (String.sub at 1 (String.length at - 1))
-                      (fun at ->
-                        body (lineno + 1) meta
-                          ({ victim; at; mode = Byzantine } :: entries)
-                          rest))
-            | _ -> err lineno (Printf.sprintf "unrecognized line %S" line))
-    in
-    let rec header lineno = function
-      | [] -> Error "empty schedule text"
-      | raw :: rest ->
-          let line = strip raw in
-          if line = "" || line.[0] = '#' then header (lineno + 1) rest
-          else if line = "schedule v1" then body (lineno + 1) [] [] rest
-          else err lineno "expected header \"schedule v1\""
-    in
-    header 1 lines
+    Lines.parse ~header ~init:[] ~line
+      ~finish:(fun meta entries -> { meta; entries = List.rev entries })
+      text
 
   let pp ppf t =
     if t.entries = [] then Format.fprintf ppf "(fault-free)"
@@ -900,67 +913,46 @@ module Async = struct
     }
 
   let meta t key = List.assoc_opt key t.meta
-
-  let add_meta t bindings =
-    let replaced =
-      List.map
-        (fun (k, v) ->
-          match List.assoc_opt k bindings with Some v' -> (k, v') | None -> (k, v))
-        t.meta
-    in
-    let fresh =
-      List.filter (fun (k, _) -> not (List.mem_assoc k t.meta)) bindings
-    in
-    { t with meta = replaced @ fresh }
+  let add_meta t bindings = { t with meta = Lines.add_meta t.meta bindings }
 
   let csv_of_pids = function
     | [] -> "-"
     | l -> String.concat "," (List.map string_of_int l)
 
+  let crash_line kw c = Printf.sprintf "%s %d @%d" kw c.victim c.at
+  let slow_line t =
+    Printf.sprintf "slow %s factor %d" (csv_of_pids t.slow_set) t.slow_factor
+
+  let sever_line s =
+    Printf.sprintf "sever %d %d @%d @%d" s.s_src s.s_dst s.s_from s.s_to
+
+  let pids t =
+    let of_crashes kw = List.map (fun c -> (c.victim, crash_line kw c)) in
+    of_crashes "crash" t.crashes @ of_crashes "byz" t.byz
+    @ of_crashes "restart" t.restarts
+    @ List.map (fun p -> (p, slow_line t)) t.slow_set
+    @ List.concat_map
+        (fun s -> [ (s.s_src, sever_line s); (s.s_dst, sever_line s) ])
+        t.severs
+
+  let header = "async-schedule v1"
+
   let print t =
-    let b = Buffer.create 256 in
-    Buffer.add_string b "async-schedule v1\n";
-    List.iter
-      (fun (k, v) -> Buffer.add_string b (Printf.sprintf "meta %s %s\n" k v))
-      t.meta;
-    Buffer.add_string b
-      (Printf.sprintf "link drop %d dup %d\n" t.drop_bp t.dup_bp);
-    if t.corrupt_bp > 0 then
-      Buffer.add_string b (Printf.sprintf "corrupt %d\n" t.corrupt_bp);
-    Buffer.add_string b
-      (Printf.sprintf "slow %s factor %d\n" (csv_of_pids t.slow_set)
-         t.slow_factor);
-    Buffer.add_string b
-      (Printf.sprintf "delay %d lag %d\n" t.max_delay t.max_lag);
-    Buffer.add_string b (Printf.sprintf "seed %Ld\n" t.seed);
-    List.iter
-      (fun c ->
-        Buffer.add_string b (Printf.sprintf "crash %d @%d\n" c.victim c.at))
-      t.crashes;
-    List.iter
-      (fun c ->
-        Buffer.add_string b (Printf.sprintf "byz %d @%d\n" c.victim c.at))
-      t.byz;
-    List.iter
-      (fun c ->
-        Buffer.add_string b (Printf.sprintf "restart %d @%d\n" c.victim c.at))
-      t.restarts;
-    List.iter
-      (fun s ->
-        Buffer.add_string b
-          (Printf.sprintf "sever %d %d @%d @%d\n" s.s_src s.s_dst s.s_from
-             s.s_to))
-      t.severs;
-    Buffer.add_string b "end\n";
-    Buffer.contents b
+    Lines.print ~header t.meta
+      ((Printf.sprintf "link drop %d dup %d" t.drop_bp t.dup_bp
+       :: (if t.corrupt_bp > 0 then [ Printf.sprintf "corrupt %d" t.corrupt_bp ]
+           else []))
+      @ [ slow_line t;
+          Printf.sprintf "delay %d lag %d" t.max_delay t.max_lag;
+          Printf.sprintf "seed %Ld" t.seed ]
+      @ List.map (crash_line "crash") t.crashes
+      @ List.map (crash_line "byz") t.byz
+      @ List.map (crash_line "restart") t.restarts
+      @ List.map sever_line t.severs)
 
   let parse text =
-    let err lineno msg = Error (Printf.sprintf "line %d: %s" lineno msg) in
-    let int_tok lineno what s k =
-      match int_of_string_opt s with
-      | Some i -> k i
-      | None -> err lineno (Printf.sprintf "expected %s, got %S" what s)
-    in
+    let err = Lines.err and int_tok = Lines.int_tok and at_tok = Lines.at_tok in
+    let is_at = Lines.is_at in
     let pids_tok lineno s k =
       if s = "-" then k []
       else
@@ -970,114 +962,70 @@ module Async = struct
         in
         go [] (String.split_on_char ',' s)
     in
-    let lines = String.split_on_char '\n' text in
-    let strip s =
-      let s =
-        if String.length s > 0 && s.[String.length s - 1] = '\r' then
-          String.sub s 0 (String.length s - 1)
-        else s
+    let line lineno toks acc =
+      let victim_at pid at k =
+        int_tok lineno "pid" pid (fun victim ->
+            at_tok lineno "tick" at (fun at -> Ok (k { victim; at })))
       in
-      String.trim s
+      match toks with
+      | [ "link"; "drop"; d; "dup"; u ] ->
+          Some
+            (int_tok lineno "drop basis points" d (fun drop_bp ->
+                 int_tok lineno "dup basis points" u (fun dup_bp ->
+                     Ok { acc with drop_bp; dup_bp })))
+      | [ "corrupt"; c ] ->
+          Some
+            (int_tok lineno "corrupt basis points" c (fun corrupt_bp ->
+                 Ok { acc with corrupt_bp }))
+      | [ "slow"; pids; "factor"; f ] ->
+          Some
+            (pids_tok lineno pids (fun slow_set ->
+                 int_tok lineno "slow factor" f (fun slow_factor ->
+                     Ok { acc with slow_set; slow_factor })))
+      | [ "delay"; d; "lag"; l ] ->
+          Some
+            (int_tok lineno "max delay" d (fun max_delay ->
+                 int_tok lineno "max lag" l (fun max_lag ->
+                     Ok { acc with max_delay; max_lag })))
+      | [ "seed"; s ] ->
+          Some
+            (match Int64.of_string_opt s with
+            | Some seed -> Ok { acc with seed }
+            | None -> err lineno (Printf.sprintf "expected seed, got %S" s))
+      | [ "crash"; pid; at ] when is_at at ->
+          Some
+            (victim_at pid at (fun c -> { acc with crashes = c :: acc.crashes }))
+      | [ "byz"; pid; at ] when is_at at ->
+          Some (victim_at pid at (fun c -> { acc with byz = c :: acc.byz }))
+      | [ "restart"; pid; at ] when is_at at ->
+          Some
+            (victim_at pid at (fun c ->
+                 { acc with restarts = c :: acc.restarts }))
+      | [ "sever"; src; dst; from_; to_ ] when is_at from_ && is_at to_ ->
+          Some
+            (int_tok lineno "pid" src (fun s_src ->
+                 int_tok lineno "pid" dst (fun s_dst ->
+                     at_tok lineno "tick" from_ (fun s_from ->
+                         at_tok lineno "tick" to_ (fun s_to ->
+                             if s_from < 0 || s_to < s_from then
+                               err lineno "sever window must be 0 <= from <= to"
+                             else
+                               Ok
+                                 { acc with
+                                   severs =
+                                     { s_src; s_dst; s_from; s_to } :: acc.severs
+                                 })))))
+      | _ -> None
     in
-    let rec body lineno acc = function
-      | [] -> Error "missing final \"end\" line"
-      | raw :: rest -> (
-          let line = strip raw in
-          if line = "" || line.[0] = '#' then body (lineno + 1) acc rest
-          else if line = "end" then
-            Ok
-              { acc with
-                meta = List.rev acc.meta;
-                crashes = List.rev acc.crashes;
-                restarts = List.rev acc.restarts;
-                severs = List.rev acc.severs;
-                byz = List.rev acc.byz }
-          else
-            let toks =
-              String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-            in
-            match toks with
-            | "meta" :: key :: rest_toks ->
-                body (lineno + 1)
-                  { acc with meta = (key, String.concat " " rest_toks) :: acc.meta }
-                  rest
-            | [ "link"; "drop"; d; "dup"; u ] ->
-                int_tok lineno "drop basis points" d (fun drop_bp ->
-                    int_tok lineno "dup basis points" u (fun dup_bp ->
-                        body (lineno + 1) { acc with drop_bp; dup_bp } rest))
-            | [ "corrupt"; c ] ->
-                int_tok lineno "corrupt basis points" c (fun corrupt_bp ->
-                    body (lineno + 1) { acc with corrupt_bp } rest)
-            | [ "slow"; pids; "factor"; f ] ->
-                pids_tok lineno pids (fun slow_set ->
-                    int_tok lineno "slow factor" f (fun slow_factor ->
-                        body (lineno + 1) { acc with slow_set; slow_factor } rest))
-            | [ "delay"; d; "lag"; l ] ->
-                int_tok lineno "max delay" d (fun max_delay ->
-                    int_tok lineno "max lag" l (fun max_lag ->
-                        body (lineno + 1) { acc with max_delay; max_lag } rest))
-            | [ "seed"; s ] -> (
-                match Int64.of_string_opt s with
-                | Some seed -> body (lineno + 1) { acc with seed } rest
-                | None -> err lineno (Printf.sprintf "expected seed, got %S" s))
-            | [ "crash"; pid; at ] when String.length at > 1 && at.[0] = '@' ->
-                int_tok lineno "pid" pid (fun victim ->
-                    int_tok lineno "tick"
-                      (String.sub at 1 (String.length at - 1))
-                      (fun at ->
-                        body (lineno + 1)
-                          { acc with crashes = { victim; at } :: acc.crashes }
-                          rest))
-            | [ "byz"; pid; at ] when String.length at > 1 && at.[0] = '@' ->
-                int_tok lineno "pid" pid (fun victim ->
-                    int_tok lineno "tick"
-                      (String.sub at 1 (String.length at - 1))
-                      (fun at ->
-                        body (lineno + 1)
-                          { acc with byz = { victim; at } :: acc.byz }
-                          rest))
-            | [ "restart"; pid; at ] when String.length at > 1 && at.[0] = '@'
-              ->
-                int_tok lineno "pid" pid (fun victim ->
-                    int_tok lineno "tick"
-                      (String.sub at 1 (String.length at - 1))
-                      (fun at ->
-                        body (lineno + 1)
-                          { acc with restarts = { victim; at } :: acc.restarts }
-                          rest))
-            | [ "sever"; src; dst; from_; to_ ]
-              when String.length from_ > 1
-                   && from_.[0] = '@'
-                   && String.length to_ > 1
-                   && to_.[0] = '@' ->
-                int_tok lineno "pid" src (fun s_src ->
-                    int_tok lineno "pid" dst (fun s_dst ->
-                        int_tok lineno "tick"
-                          (String.sub from_ 1 (String.length from_ - 1))
-                          (fun s_from ->
-                            int_tok lineno "tick"
-                              (String.sub to_ 1 (String.length to_ - 1))
-                              (fun s_to ->
-                                if s_from < 0 || s_to < s_from then
-                                  err lineno "sever window must be 0 <= from <= to"
-                                else
-                                  body (lineno + 1)
-                                    { acc with
-                                      severs =
-                                        { s_src; s_dst; s_from; s_to }
-                                        :: acc.severs }
-                                    rest))))
-            | _ -> err lineno (Printf.sprintf "unrecognized line %S" line))
-    in
-    let rec header lineno = function
-      | [] -> Error "empty schedule text"
-      | raw :: rest ->
-          let line = strip raw in
-          if line = "" || line.[0] = '#' then header (lineno + 1) rest
-          else if line = "async-schedule v1" then body (lineno + 1) (make ()) rest
-          else err lineno "expected header \"async-schedule v1\""
-    in
-    header 1 lines
+    Lines.parse ~header ~init:(make ()) ~line
+      ~finish:(fun meta acc ->
+        { acc with
+          meta;
+          crashes = List.rev acc.crashes;
+          restarts = List.rev acc.restarts;
+          severs = List.rev acc.severs;
+          byz = List.rev acc.byz })
+      text
 
   let pp ppf t =
     Format.fprintf ppf "drop %d.%02d%% dup %d.%02d%%" (t.drop_bp / 100)

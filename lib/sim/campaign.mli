@@ -16,6 +16,13 @@
 
 open Types
 
+val header : string -> string option
+(** The first line of a schedule text that is neither blank nor a [#]
+    comment: ["schedule v1"] for a {!Schedule} file, ["async-schedule v1"]
+    for an {!Async} one. Both formats share one line layer — header,
+    [meta KEY VALUE] lines, [end], CRLF tolerance and line-numbered parse
+    errors. *)
+
 module Schedule : sig
   (** A replayable fault schedule. *)
 
@@ -106,6 +113,10 @@ module Schedule : sig
 
   val pp : Format.formatter -> t -> unit
   (** One-line human summary (not the serialization). *)
+
+  val pids : t -> (pid * string) list
+  (** Every pid an entry names, paired with that entry's {!print} line —
+      for checking a schedule against a process count. *)
 end
 
 (** {1 Schedule generation} *)
@@ -359,6 +370,10 @@ module Async : sig
 
   val pp : Format.formatter -> t -> unit
   (** One-line human summary (not the serialization). *)
+
+  val pids : t -> (pid * string) list
+  (** Every pid a crash, byz, restart, slow or sever line names, paired with
+      that line as {!print} writes it. *)
 
   val sample : Dhw_util.Prng.t -> t:int -> window:int -> t
   (** One random async schedule: drop probability up to 30%, duplication up
