@@ -20,7 +20,12 @@ open Cmdliner
 module D = Doall
 module J = Dhw_util.Jsonw
 
-let protocol_of_name name =
+(* The names [protocol_of_name] takes. A command that also takes others
+   passes the full list as [accepted], so its error lists what it accepts. *)
+let crash_protocol_names =
+  "A, B, C, C-chunked, C-naive, D, D-coord, trivial, checkpoint[:k]"
+
+let protocol_of_name ?(accepted = crash_protocol_names) name =
   match String.lowercase_ascii name with
   | "a" -> Ok D.Protocol_a.protocol
   | "b" -> Ok D.Protocol_b.protocol
@@ -30,11 +35,14 @@ let protocol_of_name name =
   | "d" -> Ok D.Protocol_d.protocol
   | "d-coord" | "dcoord" -> Ok D.Protocol_d_coord.protocol
   | "trivial" -> Ok D.Baseline_trivial.protocol
-  | s when String.length s > 11 && String.sub s 0 11 = "checkpoint:" ->
+  (* checkpoint/k is the protocol's own name, which schedule files carry *)
+  | s
+    when String.length s > 11
+         && List.mem (String.sub s 0 11) [ "checkpoint:"; "checkpoint/" ] ->
       (try Ok (D.Baseline_checkpoint.protocol ~period:(int_of_string (String.sub s 11 (String.length s - 11))))
        with _ -> Error (`Msg "checkpoint:<period> needs an integer period"))
   | "checkpoint" -> Ok (D.Baseline_checkpoint.protocol ~period:1)
-  | _ -> Error (`Msg ("unknown protocol: " ^ name ^ " (A, B, C, C-chunked, C-naive, D, D-coord, D-online, trivial, checkpoint[:k])"))
+  | _ -> Error (`Msg ("unknown protocol: " ^ name ^ " (" ^ accepted ^ ")"))
 
 let crash_conv =
   let parse s =
@@ -263,7 +271,9 @@ let run_cmd =
       finish ~latency:(D.Latency.to_json lat) fault_desc report
     end
     else
-      match protocol_of_name proto with
+      match
+        protocol_of_name ~accepted:(crash_protocol_names ^ ", D-online") proto
+      with
       | Error (`Msg m) -> prerr_endline m; exit 2
       | Ok p ->
           let fault, fault_desc =
@@ -773,7 +783,10 @@ let stack_of_name ~byz name =
         "protocol %s has no Byzantine stack (a, a+val, async-a, async-a+val)"
         name
   | _, false -> (
-      match protocol_of_name name with
+      let accepted =
+        crash_protocol_names ^ ", a+rec, b+rec, a+val, async-a, async-a+val"
+      in
+      match protocol_of_name ~accepted name with
       | Ok p -> Sync (crash_stack name p)
       | Error (`Msg m) -> usage "%s" m)
 
@@ -1576,6 +1589,24 @@ let load file =
         usage "schedule file: %S names pid %d outside [0, %d) (meta t)" line
           pid t)
     pids;
+  (* the async executor's ranges for the link and delay fields *)
+  (match sched with
+  | Sync_file _ -> ()
+  | Async_file s ->
+      let field key v ~lo ?hi () =
+        match hi with
+        | Some hi when v < lo || v > hi ->
+            usage "schedule file: %s must lie in [%d, %d], got %d" key lo hi v
+        | None when v < lo -> usage "schedule file: %s must be >= %d, got %d" key lo v
+        | _ -> ()
+      in
+      let open Campaign.Async in
+      field "link drop" s.drop_bp ~lo:0 ~hi:9_999 ();
+      field "link dup" s.dup_bp ~lo:0 ~hi:10_000 ();
+      field "corrupt" s.corrupt_bp ~lo:0 ~hi:9_999 ();
+      field "slow factor" s.slow_factor ~lo:1 ();
+      field "delay" s.max_delay ~lo:1 ();
+      field "lag" s.max_lag ~lo:1 ());
   (sched, protocol, D.Spec.make ~n ~t)
 
 let replay st spec sched ~work_cap =

@@ -42,9 +42,10 @@ let make ~period spec =
           wakeup = Some (r + 1);
         }
     | Announce c :: rest ->
+        let payload = Ckpt c in
         {
           state = Active rest;
-          sends = List.map (fun dst -> { dst; payload = Ckpt c }) (others pid);
+          sends = List.map (fun dst -> { dst; payload }) (others pid);
           work = [];
           terminate = rest = [];
           wakeup = Some (r + 1);

@@ -104,9 +104,11 @@ let run_active ~inject ?(map_dst = Fun.id) ?(map_unit = Fun.id) r script =
         wakeup = Some (r + 1);
       }
   | Bcast (m, dsts) :: rest ->
+      (* one payload value for the whole broadcast *)
+      let payload = inject m in
       {
         state = rest;
-        sends = List.map (fun dst -> { dst = map_dst dst; payload = inject m }) dsts;
+        sends = List.map (fun dst -> { dst = map_dst dst; payload }) dsts;
         work = [];
         terminate = rest = [];
         wakeup = Some (r + 1);

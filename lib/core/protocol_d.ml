@@ -175,10 +175,8 @@ let protocol_with_alpha ~alpha ~name =
       in
       let done_ = adopted <> None || (stable && counter >= 1) in
       let bcast =
-        List.map
-          (fun dst ->
-            { dst; payload = View { phase = a.a_phase; s; live = live_new; done_ } })
-          (ISet.elements (ISet.remove pid u'))
+        let payload = View { phase = a.a_phase; s; live = live_new; done_ } in
+        List.map (fun dst -> { dst; payload }) (ISet.elements (ISet.remove pid u'))
       in
       if not done_ then
         {
@@ -241,15 +239,10 @@ let protocol_with_alpha ~alpha ~name =
             let s = Uset.inter w.s_after w.stash_s in
             let live_new = ISet.add pid w.stash_t in
             let bcast =
-              List.map
-                (fun dst ->
-                  {
-                    dst;
-                    payload =
-                      View
-                        { phase = w.w_phase; s; live = ISet.singleton pid; done_ = false };
-                  })
-                (ISet.elements (ISet.remove pid w.w_live))
+              let payload =
+                View { phase = w.w_phase; s; live = ISet.singleton pid; done_ = false }
+              in
+              List.map (fun dst -> { dst; payload }) (ISet.elements (ISet.remove pid w.w_live))
             in
             {
               state =

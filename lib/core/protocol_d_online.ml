@@ -138,15 +138,11 @@ let protocol cfg =
       in
       let final = adopted <> None || (stable && counter >= 1) in
       let bcast =
-        List.map
-          (fun dst ->
-            {
-              dst;
-              payload =
-                { v_phase = a.a_phase; v_known = known; v_done = done_;
-                  v_live = live; v_final = final };
-            })
-          (ISet.elements (ISet.remove pid u'))
+        let payload =
+          { v_phase = a.a_phase; v_known = known; v_done = done_; v_live = live;
+            v_final = final }
+        in
+        List.map (fun dst -> { dst; payload }) (ISet.elements (ISet.remove pid u'))
       in
       if not final then
         {
@@ -214,15 +210,11 @@ let protocol cfg =
             let known = Uset.union w.known w.stash_known in
             let done_all = Uset.union w.done_ w.stash_done in
             let bcast =
-              List.map
-                (fun dst ->
-                  {
-                    dst;
-                    payload =
-                      { v_phase = w.w_phase; v_known = known; v_done = w.done_;
-                        v_live = ISet.singleton pid; v_final = false };
-                  })
-                (ISet.elements (ISet.remove pid w.w_live))
+              let payload =
+                { v_phase = w.w_phase; v_known = known; v_done = w.done_;
+                  v_live = ISet.singleton pid; v_final = false }
+              in
+              List.map (fun dst -> { dst; payload }) (ISet.elements (ISet.remove pid w.w_live))
             in
             {
               state =

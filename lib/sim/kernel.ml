@@ -303,19 +303,33 @@ let run ?recover ?metrics cfg proc =
         if observing then trace_ev (Trace.Worked { pid; round = r; unit_id = u });
         commit_work pid r rest
   in
+  (* The trace rendering of the current step's last shown payload. A
+     broadcast shares one payload value across its destinations, so [show]
+     runs once per physically distinct payload per step, and the [Sent] and
+     [Dropped] events of one broadcast share one string. Cleared at every
+     traced step. *)
+  let shown = ref None in
+  let show payload =
+    match !shown with
+    | Some (p, what) when p == payload -> what
+    | _ ->
+        let what = cfg.show payload in
+        shown := Some (payload, what);
+        what
+  in
   let rec commit_sends pid r = function
     | [] -> ()
     | { dst; payload } :: rest ->
         Metrics.record_send metrics pid;
         if observing then
-          trace_ev (Trace.Sent { src = pid; dst; round = r; what = cfg.show payload });
+          trace_ev (Trace.Sent { src = pid; dst; round = r; what = show payload });
         if dst >= 0 && dst < t then enqueue dst { src = pid; sent_at = r; payload };
         commit_sends pid r rest
   in
   let rec trace_dropped pid r = function
     | [] -> ()
     | { dst; payload } :: rest ->
-        trace_ev (Trace.Dropped { src = pid; dst; round = r; what = cfg.show payload });
+        trace_ev (Trace.Dropped { src = pid; dst; round = r; what = show payload });
         trace_dropped pid r rest
   in
   let rec forge_loop pid r = function
@@ -346,7 +360,10 @@ let run ?recover ?metrics cfg proc =
     let w = wakeups.(pid) in
     let due = w >= 0 && w <= r in
     if mail != [] || due then begin
-      if observing then trace_ev (Trace.Stepped { pid; round = r });
+      if observing then begin
+        shown := None;
+        trace_ev (Trace.Stepped { pid; round = r })
+      end;
       let o =
         match cfg.spans with
         | None -> proc.step pid r states.(pid) mail
@@ -482,13 +499,23 @@ let run ?recover ?metrics cfg proc =
     due_n := 0
   in
   let cmp_src a b = compare a.src b.src in
+  let rec descending_src = function
+    | a :: (b :: _ as rest) -> a.src > b.src && descending_src rest
+    | _ -> true
+  in
   let deliver_commit r =
-    (* Inboxes sorted by sender for determinism. *)
+    (* Inboxes in the stable order by sender, for determinism. Senders are
+       stepped in pid order and cons onto the inbox, so one with a message
+       per sender is strictly descending by sender and its reversal is that
+       order; empty and singleton inboxes already are. Only an inbox holding
+       two messages from one sender is sorted. *)
     let oi = !out_idx in
     let ta = touched.(oi) and b = bufs.(oi) in
     for i = 0 to touched_n.(oi) - 1 do
       let dst = ta.(i) in
-      b.(dst) <- List.sort cmp_src b.(dst)
+      match b.(dst) with
+      | [] | [ _ ] -> ()
+      | l -> b.(dst) <- (if descending_src l then List.rev l else List.sort cmp_src l)
     done;
     pending_sent_at := r;
     pending_idx := oi

@@ -8,8 +8,12 @@
     [2^(n+t)] deadlines) execute quickly while round arithmetic stays exact.
 
     Determinism: with a fixed fault plan, processes are stepped in increasing
-    pid order and inboxes are sorted by sender pid, so every run of the same
-    configuration produces the identical execution. *)
+    pid order and inboxes are sorted by sender pid (a sender's messages to
+    one destination in the reverse of their send order), so every run of
+    the same configuration produces the identical execution. The order
+    comes without a per-round sort: senders cons onto an inbox in pid
+    order, so an inbox with one message per sender is reversed, and only
+    an inbox holding two messages from one sender is sorted. *)
 
 open Types
 
@@ -52,7 +56,11 @@ type 'm config = {
           nothing back, so a sink may drive effects outside the run (the
           real-process fleet kills a node on its [Crash] and shuts it down
           on its [Terminate]) but never changes the run. *)
-  show : 'm -> string;  (** payload printer for traces (unused without) *)
+  show : 'm -> string;
+      (** payload printer for traces (unused without). Called once per
+          physically distinct payload per step: sends that share one
+          payload value, as a broadcast's do, share one rendering. Must be
+          a pure function of the payload. *)
   spans : Obs.sink option;
       (** timing sink, fed only [Obs.Span_begin]/[Span_end] pairs around
           each processed round ([pid = -1]), each process step, and each

@@ -184,8 +184,9 @@ let test_net_codes () =
   Sys.remove sched
 
 (* Every schedule file goes through one loader: a malformed or missing
-   meta n/t, or an entry naming a pid outside [0, t), is a usage error
-   naming the key or line, on both substrates and with or without --real. *)
+   meta n/t, an async link or delay field outside the executor's range, or
+   an entry naming a pid outside [0, t), is a usage error naming the key or
+   line, on both substrates and with or without --real. *)
 let test_schedule_validation () =
   let sync body = "schedule v1\nmeta protocol a\n" ^ body ^ "end\n"
   and async body =
@@ -212,6 +213,17 @@ let test_schedule_validation () =
       ( "async --real: pid outside [0, t)",
         async "meta n 12\nmeta t 4\nrestart 7 @3\n", "restart 7 @3",
         [ "--real" ] );
+      ( "async: link drop 10000",
+        async "meta n 12\nmeta t 4\nlink drop 10000 dup 0\n", "link drop", [] );
+      ( "async: link dup 10001",
+        async "meta n 12\nmeta t 4\nlink drop 0 dup 10001\n", "link dup", [] );
+      ( "async: corrupt 10000",
+        async "meta n 12\nmeta t 4\ncorrupt 10000\n", "corrupt", [] );
+      ( "async: slow factor 0",
+        async "meta n 12\nmeta t 4\nslow 1 factor 0\n", "slow factor", [] );
+      ("async: delay 0", async "meta n 12\nmeta t 4\ndelay 0 lag 3\n", "delay", []);
+      ( "async --real: lag 0",
+        async "meta n 12\nmeta t 4\ndelay 3 lag 0\n", "lag", [ "--real" ] );
     ]
   in
   List.iter
@@ -247,6 +259,13 @@ let test_inapplicable_options () =
   check_usage "--byz out of range" ~what:"--byz"
     (fuzz [ "-p"; "async-a"; "--byz"; "4" ]);
   check_usage "unknown protocol" ~what:"nosuch" (fuzz [ "-p"; "nosuch" ]);
+  (* the error lists the names the command takes, and only those *)
+  let code, _, err = capture (fuzz [ "-p"; "d-online" ]) in
+  Alcotest.(check int) "fuzz -p d-online: exit code" 2 code;
+  if contains err "D-online" || not (contains err "async-a+val") then
+    Alcotest.failf "fuzz -p d-online: stderr %S must list fuzz's names only" err;
+  check_usage "run lists D-online" ~what:"D-online"
+    [ "run"; "-p"; "nosuch"; "-n"; "12"; "-t"; "4" ];
   check_usage "replay --work-cap on a Byzantine stack" ~what:"--work-cap"
     [ "replay"; committed "byz-break-a.sched"; "--work-cap"; "3" ];
   check_usage "real-run option without --real" ~what:"--real"
@@ -297,6 +316,8 @@ let test_corpus_round_trip () =
     @ cap
   in
   round_trip "crash" ~file:"a-seed1-0" (capped "a" "1") ~replay_args:cap;
+  round_trip "checkpoint:k" ~file:"checkpoint:2-seed1-0" (capped "checkpoint:2" "1")
+    ~replay_args:cap;
   round_trip "recovery" ~file:"a+rec-seed4-0" (capped "a+rec" "4")
     ~replay_args:cap;
   round_trip "async" ~file:"async-a-seed4-0" (capped "async-a" "4")

@@ -6,7 +6,9 @@
    and the observability stream. Plans cover random campaign schedules
    (silent, acting, restart, corrupt and byz entries, with and without a
    tamper model, including restarts of Byzantine pids), every [Fault]
-   constructor, and plans re-wrapped through [Fault.custom]. *)
+   constructor, and plans re-wrapped through [Fault.custom]. Processes are
+   hash-driven chatter, Protocol A and a traced Protocol D, whose shared
+   broadcast payloads exercise the kernel's once-per-payload rendering. *)
 
 open Simkit
 open Types
@@ -338,6 +340,18 @@ let law_protocol_a c =
   let go k = observe k ~c ~max_rounds ?tamper ~show:Doall.Protocol_a.show_msg proc in
   agree (go kernel) (go reference)
 
+(* Protocol D's agreement broadcasts share one payload value across their
+   destinations, so the kernel renders each once; the reference renders
+   every send and sorts every inbox. No tamper model: D has none, and
+   Byzantine entries degrade to crashes. *)
+let law_protocol_d c =
+  let (Doall.Protocol.Packed { proc; show }) =
+    Doall.Protocol_d.protocol.make (Doall.Spec.make ~n:c.n ~t:c.t)
+  in
+  let max_rounds = if c.short then 25 else 2000 in
+  let go k = observe k ~c ~max_rounds ~show proc in
+  agree (go kernel) (go reference)
+
 let law ~count ~name ~max_t f =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name ~print:show_case (gen_case ~max_t) f)
@@ -366,10 +380,72 @@ let test_silent_death_lands_on_visited_round () =
         (res.statuses.(1) = Crashed 10))
     [ ("kernel", kernel); ("reference", reference) ]
 
+(* An inbox reaches its pid in the stable order by sender: a sender's two
+   messages to one destination stay in the order the sort by sender leaves
+   them (the later send first, as the inbox is built by consing). *)
+let test_two_messages_from_one_sender () =
+  let inbox (k : kernel) =
+    let got = ref [] in
+    let proc =
+      {
+        init = (fun pid -> ((), if pid < 3 then Some 0 else None));
+        step =
+          (fun pid r () inbox ->
+            if pid = 3 then got := List.map (fun e -> (e.src, e.payload)) inbox;
+            let sends =
+              match (pid, r) with
+              | 0, 0 -> [ { dst = 3; payload = 1 }; { dst = 3; payload = 2 } ]
+              | 1, 0 -> [ { dst = 3; payload = 3 } ]
+              | 2, 0 -> [ { dst = 3; payload = 4 }; { dst = 3; payload = 5 } ]
+              | _ -> []
+            in
+            { state = (); sends; work = []; terminate = true; wakeup = None });
+      }
+    in
+    ignore (k.run (Kernel.config ~n_processes:4 ~n_units:1 ()) proc);
+    !got
+  in
+  List.iter
+    (fun (name, k) ->
+      Alcotest.(check (list (pair int int)))
+        (name ^ ": inbox of pid 3")
+        [ (0, 2); (0, 1); (1, 3); (2, 5); (2, 4) ]
+        (inbox k))
+    [ ("kernel", kernel); ("reference", reference) ]
+
+(* A traced failure-free Protocol D run renders one string per
+   broadcasting step, not one per send. *)
+let test_show_once_per_broadcast () =
+  let (Doall.Protocol.Packed { proc; show }) =
+    Doall.Protocol_d.protocol.make (Doall.Spec.make ~n:400 ~t:16)
+  in
+  let calls = ref 0 in
+  let show m =
+    incr calls;
+    show m
+  in
+  let trace = Trace.create () in
+  let res =
+    Kernel.run (Kernel.config ~trace ~show ~n_processes:16 ~n_units:400 ()) proc
+  in
+  let steps =
+    List.sort_uniq compare
+      (List.filter_map
+         (function Trace.Sent { src; round; _ } -> Some (src, round) | _ -> None)
+         (Trace.events trace))
+  in
+  Alcotest.(check bool) "D broadcasts" true (Metrics.messages res.metrics > List.length steps);
+  Alcotest.(check int) "show calls = broadcasting steps" (List.length steps) !calls
+
 let suite =
   [
     Alcotest.test_case "silent death lands on the next processed round" `Quick
       test_silent_death_lands_on_visited_round;
+    Alcotest.test_case "two messages from one sender keep the sorted order" `Quick
+      test_two_messages_from_one_sender;
+    Alcotest.test_case "show runs once per broadcasting step (D)" `Quick
+      test_show_once_per_broadcast;
     law ~count:1000 ~name:"kernel = reference sweep (chatter processes)" ~max_t:8 law_chatter;
     law ~count:300 ~name:"kernel = reference sweep (Protocol A)" ~max_t:6 law_protocol_a;
+    law ~count:300 ~name:"kernel = reference sweep (traced Protocol D)" ~max_t:8 law_protocol_d;
   ]
